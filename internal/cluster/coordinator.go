@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/pprof"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"fairjob/internal/compare"
@@ -54,7 +56,8 @@ type Options struct {
 	// delay (default 3): a leg exceeding HedgeMultiplier×p99 is assumed
 	// stuck and a duplicate is launched.
 	HedgeMultiplier float64
-	// ScanBlock is the sorted-access block size per OpScan (default 32).
+	// ScanBlock is the sorted-access block size: how many entries of
+	// each list fragment one batched OpScan refill fetches (default 32).
 	ScanBlock int
 	// Retry is the per-leg backoff policy for transient errors. The
 	// zero value retries twice with the serve defaults; the coordinator
@@ -175,6 +178,10 @@ type Coordinator struct {
 
 	degMu sync.Mutex
 	deg   map[string]*serve.Engine
+
+	// cells memoizes the compare gather by generation vector; nil until
+	// the first compare.
+	cells atomic.Pointer[cellMemo]
 
 	hasRankings bool
 	pages       [][2]string
@@ -378,6 +385,28 @@ func (c *Coordinator) DoCtx(ctx context.Context, req serve.Request) serve.Respon
 
 	st := newScatterStats(c.n)
 	var resp serve.Response
+	// Execute under the engine's pprof labels (cache "off": the
+	// coordinator caches nothing), so CPU samples on the cluster path —
+	// including the transport goroutines the legs spawn, which inherit
+	// the labels — decompose by request kind.
+	pprof.Do(ctx, serve.ProfileLabels(req, "off"), func(ctx context.Context) {
+		resp = c.scatter(ctx, req, st, tr)
+	})
+
+	lat := time.Since(start)
+	outcome := serve.Outcome(resp.Err)
+	tr.SetOutcome(outcome)
+	c.tracer.Finish(tr)
+	c.met.requestSeconds.Observe(lat.Seconds())
+	c.emit(req, resp, tr, outcome, lat, st)
+	c.tracer.Release(tr)
+	return resp
+}
+
+// scatter runs the pinned attempts of one validated request — a re-pin
+// restarts once — and the degraded recompute when partitions are lost.
+func (c *Coordinator) scatter(ctx context.Context, req serve.Request, st *scatterStats, tr *obs.Trace) serve.Response {
+	var resp serve.Response
 	var rc *reqCtx
 	for attempt := 0; ; attempt++ {
 		rc = c.newReqCtx(st, tr)
@@ -428,14 +457,6 @@ func (c *Coordinator) DoCtx(ctx context.Context, req serve.Request) serve.Respon
 			resp.Err = typedCtxErr(ctx, ctx.Err())
 		}
 	}
-
-	lat := time.Since(start)
-	outcome := serve.Outcome(resp.Err)
-	tr.SetOutcome(outcome)
-	c.tracer.Finish(tr)
-	c.met.requestSeconds.Observe(lat.Seconds())
-	c.emit(req, resp, tr, outcome, lat, st)
-	c.tracer.Release(tr)
 	return resp
 }
 
@@ -468,12 +489,12 @@ func (c *Coordinator) run(ctx context.Context, rc *reqCtx, req serve.Request, tr
 
 // runQuantify is the distributed Problem 1: the same topk algorithm the
 // single engine runs, over a ListSource whose sorted accesses stream
-// from partition fragments and merge in canonical order, and whose
-// random accesses scatter one row lookup per partition. Because the
-// merged lists are byte-identical to the single index's lists, the
-// algorithm's every decision — thresholds, round count, early
-// termination — is identical, which is the coordinator≡engine
-// equivalence the tests pin.
+// from partition fragments in batched per-partition blocks and merge in
+// canonical order, and whose random accesses scatter batched row
+// lookups, one per partition. Because the merged lists are
+// byte-identical to the single index's lists, the algorithm's every
+// decision — thresholds, round count, early termination — is
+// identical, which is the coordinator≡engine equivalence the tests pin.
 func (c *Coordinator) runQuantify(ctx context.Context, rc *reqCtx, req serve.Request, tr *obs.Trace) serve.Response {
 	tr.Annotate("algo", req.Algorithm.String())
 	geo := c.geoms[req.Dim]
@@ -501,8 +522,8 @@ func (c *Coordinator) runQuantify(ctx context.Context, rc *reqCtx, req serve.Req
 	resp := serve.Response{Gen: rc.pinnedGen()}
 	resp.Results, resp.Stats, resp.Err = topk.TopKCtxWith(runCtx, src, req.K, req.Direction, req.Algorithm, nil)
 	// One summary span per streamed-from partition, instead of a span per
-	// scan round-trip (see MaxChildSpans): the rpcs counts they carry are
-	// the per-request evidence for the O(lists) scan-batching problem.
+	// scan or lookup round-trip: the rpcs counts they carry show the
+	// per-partition cost of the request.
 	rc.scanSummary()
 	if len(rc.missing()) > 0 {
 		// A partition was lost mid-run, so whatever the algorithm
@@ -525,20 +546,39 @@ func (c *Coordinator) runQuantify(ctx context.Context, rc *reqCtx, req serve.Req
 // runCompare is the distributed Problem 2: gather every partition's
 // cells (the union is exactly the single table's defined cells) and run
 // the same comparison walk over the gathered store.
+//
+// The gathered store is memoized by generation vector: each OpCells leg
+// names the generation the memo holds for that partition, and a node
+// still serving it answers with no cells. Only partitions that moved
+// ship cells, and a new memo replaces the old one. Pins are unchanged:
+// a node refreshed since the pin refuses it with ErrGenMismatch and the
+// request re-pins, so the memo only ever holds pinned generations.
 func (c *Coordinator) runCompare(ctx context.Context, rc *reqCtx, req serve.Request) serve.Response {
 	if err := ctx.Err(); err != nil {
 		return serve.Response{Err: typedCtxErr(ctx, err)}
 	}
-	var cells []Cell
+	have := c.cells.Load()
+	gens := make([]uint64, c.n)
+	var fresh [][]Cell // per partition; set where the memo is stale
 	for p := 0; p < c.n; p++ {
-		reply, err := rc.call(ctx, p, Call{Op: OpCells})
+		call := Call{Op: OpCells}
+		if have != nil {
+			call.HaveGen = have.gens[p]
+		}
+		reply, err := rc.call(ctx, p, call)
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {
 				return serve.Response{Err: typedCtxErr(ctx, err)}
 			}
 			continue // marked dead; degrade recomputes from survivors
 		}
-		cells = append(cells, reply.Cells...)
+		gens[p] = reply.Gen
+		if have == nil || reply.Gen != have.gens[p] {
+			if fresh == nil {
+				fresh = make([][]Cell, c.n)
+			}
+			fresh[p] = reply.Cells
+		}
 	}
 	if len(rc.missing()) > 0 {
 		return serve.Response{}
@@ -548,11 +588,18 @@ func (c *Coordinator) runCompare(ctx context.Context, rc *reqCtx, req serve.Requ
 		// degradation path must not compute over silently partial cells.
 		return serve.Response{Err: typedCtxErr(ctx, err)}
 	}
+	memo := have
+	if fresh != nil {
+		memo = newCellMemo(c.uni, have, gens, fresh)
+		// Install unless a concurrent compare already replaced the memo
+		// we started from; either way this request uses its own.
+		c.cells.CompareAndSwap(have, memo)
+	}
 	var cmp *compare.Comparer
 	if req.DefinedOnly {
-		cmp = compare.NewDefinedOnlyFromCells(newCellStore(c.uni, cells))
+		cmp = compare.NewDefinedOnlyFromCells(memo.store)
 	} else {
-		cmp = compare.NewFromCells(newCellStore(c.uni, cells))
+		cmp = compare.NewFromCells(memo.store)
 	}
 	resp := serve.Response{Gen: rc.pinnedGen()}
 	switch req.Of {

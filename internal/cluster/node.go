@@ -219,23 +219,44 @@ func (nd *Node) Handle(ctx context.Context, call Call) (Reply, error) {
 		if err != nil {
 			return Reply{Gen: st.gen}, err
 		}
-		if call.List < 0 || call.List >= fam.lists.NumLists() {
-			return Reply{Gen: st.gen}, fmt.Errorf("cluster: partition %d: list %d out of range", nd.id, call.List)
+		// One buffer backs every block of the reply; each block is a
+		// capped window of it, so appending to one cannot clobber the next.
+		size := 0
+		for _, r := range call.Scans {
+			if r.List < 0 || r.List >= fam.lists.NumLists() {
+				return Reply{Gen: st.gen}, fmt.Errorf("cluster: partition %d: list %d out of range", nd.id, r.List)
+			}
+			size += max(0, min(r.Count, fam.lists.Len(r.List)-r.Start))
 		}
-		return Reply{Gen: st.gen, Entries: topk.ScanFrom(fam.lists, call.List, call.Start, call.Count)}, nil
+		buf := make([]index.Entry, 0, size)
+		blocks := make([][]index.Entry, len(call.Scans))
+		for j, r := range call.Scans {
+			from := len(buf)
+			buf = topk.ScanFrom(buf, fam.lists, r.List, r.Start, r.Count)
+			blocks[j] = buf[from:len(buf):len(buf)]
+		}
+		return Reply{Gen: st.gen, Blocks: blocks}, nil
 	case OpLookup:
 		fam, err := st.family(call.Dim)
 		if err != nil {
 			return Reply{Gen: st.gen}, err
 		}
-		var row []ListValue
-		for _, li := range fam.owned {
-			if v, ok := fam.lists.Find(li, call.Key); ok {
-				row = append(row, ListValue{List: li, Value: v})
+		buf := make([]ListValue, 0, len(call.Keys)*len(fam.owned))
+		rows := make([][]ListValue, len(call.Keys))
+		for j, key := range call.Keys {
+			from := len(buf)
+			for _, li := range fam.owned {
+				if v, ok := fam.lists.Find(li, key); ok {
+					buf = append(buf, ListValue{List: li, Value: v})
+				}
 			}
+			rows[j] = buf[from:len(buf):len(buf)]
 		}
-		return Reply{Gen: st.gen, Row: row}, nil
+		return Reply{Gen: st.gen, Rows: rows}, nil
 	case OpCells:
+		if call.HaveGen != 0 && call.HaveGen == st.gen {
+			return Reply{Gen: st.gen}, nil // the caller's copy is current
+		}
 		cells := make([]Cell, 0, st.tbl.Len())
 		st.tbl.Range(func(tr core.Triple, v float64) {
 			cells = append(cells, Cell{G: tr.GroupKey, Q: tr.Query, L: tr.Location, V: v})

@@ -49,10 +49,9 @@ func (st *scatterStats) slowest() string {
 
 // streamStat is the per-partition scan/lookup round-trip accounting
 // behind the one-summary-span-per-partition policy: a distributed
-// quantify issues O(lists) OpScan round-trips, far past MaxChildSpans,
-// so individual streaming legs are counted here (request goroutine
-// only — the topk run is sequential) and materialized as a single
-// "scan-stream" span when the run ends.
+// quantify's batched OpScan and OpLookup legs are counted here (request
+// goroutine only — the topk run is sequential) and materialized as a
+// single "scan-stream" span per partition when the run ends.
 type streamStat struct {
 	scans   int
 	lookups int
@@ -199,9 +198,8 @@ func (rc *reqCtx) noteStream(p int, op Op, entries int) {
 
 // scanSummary materializes one "scan-stream" span per partition the run
 // streamed from, spanning first to last round-trip, annotated with the
-// round-trip counts. This is the trace-level evidence for the scan
-// batching item on the roadmap: the rpcs count on these spans (and the
-// wide event) quantifies the O(lists) round-trip problem per request.
+// round-trip counts: scan_rpcs is the number of batched refills (at most
+// ceil(listLen/ScanBlock)), lookup_rpcs the number of lookup batches.
 func (rc *reqCtx) scanSummary() {
 	if !rc.span.Valid() {
 		return
@@ -283,9 +281,13 @@ func (rc *reqCtx) call(ctx context.Context, p int, call Call) (Reply, error) {
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrGenMismatch):
+			// Recorded too: the request restarts once under new pins, but
+			// a second flip must fail the request, not let it compute over
+			// the partitions that still answered.
 			rc.mu.Lock()
 			rc.genFlip = true
 			rc.mu.Unlock()
+			rc.recordErr(err)
 		case errors.Is(err, serve.ErrCanceled), errors.Is(err, serve.ErrDeadlineExceeded):
 			// Request-level death is not the partition's fault: no
 			// markDead, but the failure must still be rememberable — a
@@ -300,7 +302,7 @@ func (rc *reqCtx) call(ctx context.Context, p int, call Call) (Reply, error) {
 	}
 	rc.record(p, reply.Gen)
 	if call.Op == OpScan || call.Op == OpLookup {
-		rc.noteStream(p, call.Op, len(reply.Entries))
+		rc.noteStream(p, call.Op, legEntries(call.Op, reply))
 	}
 	return reply, nil
 }
@@ -358,8 +360,9 @@ type legResult struct {
 //
 // Span policy: serve and cells legs, retries, and any leg whose hedge
 // actually fired get spans; plain scan/lookup primaries are counted
-// into the per-partition stream summary instead (a quantify issues
-// thousands — see obs.MaxChildSpans). All span creation happens on the
+// into the per-partition stream summary instead, one span per
+// partition however many batched refills the run took (see
+// obs.MaxChildSpans). All span creation happens on the
 // request goroutine: an eagerly-spanned leg opens its span before the
 // send (so an OpServe engine can join it through the context), and a
 // leg that only became interesting when its hedge fired gets both
@@ -539,16 +542,20 @@ func (rc *reqCtx) leg(ctx context.Context, p int, call Call, kind string) (Reply
 
 // legEntries counts the payload entries a reply moved, per op.
 func legEntries(op Op, r Reply) int {
+	n := 0
 	switch op {
 	case OpScan:
-		return len(r.Entries)
+		for _, b := range r.Blocks {
+			n += len(b)
+		}
 	case OpLookup:
-		return len(r.Row)
+		for _, row := range r.Rows {
+			n += len(row)
+		}
 	case OpCells:
-		return len(r.Cells)
-	default:
-		return 0
+		n = len(r.Cells)
 	}
+	return n
 }
 
 // errClass buckets a leg error into a span outcome.

@@ -68,8 +68,8 @@ func TestClusterTracingEndToEnd(t *testing.T) {
 	cmpTrace, quantTrace := traces[0], traces[1] // newest first
 
 	// The quantify trace: a primary scatter attempt, and one scan-stream
-	// summary per partition carrying the round-trip counts (the O(lists)
-	// RPC evidence), instead of a span per scan.
+	// summary per partition carrying the round-trip counts, instead of a
+	// span per scan or lookup leg.
 	scatter := findSpan(quantTrace, func(cs *obs.ChildSpan) bool { return cs.Name == "scatter" && cs.Kind == "primary" })
 	if scatter == nil {
 		t.Fatalf("quantify trace has no primary scatter span: %+v", quantTrace.Children)

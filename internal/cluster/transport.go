@@ -16,19 +16,22 @@ import (
 type Op int
 
 const (
-	// OpScan is resumable sorted access: read a block of entries from
-	// one list fragment starting at a caller-owned cursor. The
-	// coordinator's distributed TA is built from these.
+	// OpScan is batched, resumable sorted access: read one block from
+	// each of several list fragments, every block starting at a
+	// caller-owned cursor. The coordinator's distributed TA refills all
+	// of a partition's drained fragments of one list family with one of
+	// these.
 	OpScan Op = iota
-	// OpLookup is random access: return the key's value in every list
-	// fragment this partition owns for one dimension — a full row from
-	// this partition's point of view, which the coordinator merges and
-	// caches so one scatter answers all subsequent random accesses for
-	// the key.
+	// OpLookup is batched random access: for each requested key, return
+	// its value in every list fragment this partition owns for one
+	// dimension — a full row from this partition's point of view, which
+	// the coordinator merges and caches so one scatter answers every
+	// later random access for those keys.
 	OpLookup
 	// OpCells returns every defined cell of the partition's sub-table —
 	// the gather behind Problem 2 comparisons and behind the degraded
-	// recompute when partitions are missing.
+	// recompute when partitions are missing. A caller that already holds
+	// the cells of generation HaveGen gets back only the generation.
 	OpCells
 	// OpServe passes a full serve.Request through to the partition's
 	// local engine — the single-leg fast path (one partition, or a
@@ -59,11 +62,15 @@ type Call struct {
 	Op     Op
 	PinGen uint64
 
-	// OpScan / OpLookup operands.
-	Dim          compare.Dimension
-	List         int
-	Start, Count int
-	Key          string
+	// OpScan / OpLookup operands: the list family, then one block per
+	// scan range (OpScan) or one row per key (OpLookup).
+	Dim   compare.Dimension
+	Scans []ScanRange
+	Keys  []string
+
+	// OpCells operand: the generation whose cells the caller already
+	// holds (0 = none). A node still serving it replies without cells.
+	HaveGen uint64
 
 	// OpServe operand.
 	Req serve.Request
@@ -78,8 +85,14 @@ type Call struct {
 	ParentSpan int32
 }
 
-// ListValue is one entry of an OpLookup reply: the key's value in one
-// of the partition's owned lists.
+// ScanRange names one block of sorted access: up to Count entries of
+// the partition's fragment of list List, from sorted position Start.
+type ScanRange struct {
+	List, Start, Count int
+}
+
+// ListValue is one entry of an OpLookup row: the key's value in one of
+// the partition's owned lists.
 type ListValue struct {
 	List  int
 	Value float64
@@ -97,11 +110,11 @@ type Cell struct {
 // generation that served it, which is how an unpinned first leg learns
 // the pin for the rest of the request.
 type Reply struct {
-	Gen     uint64
-	Entries []index.Entry  // OpScan
-	Row     []ListValue    // OpLookup
-	Cells   []Cell         // OpCells
-	Resp    serve.Response // OpServe
+	Gen    uint64
+	Blocks [][]index.Entry // OpScan: one block per Call.Scans range
+	Rows   [][]ListValue   // OpLookup: one row per Call.Keys key
+	Cells  []Cell          // OpCells: nil when Call.HaveGen was current
+	Resp   serve.Response  // OpServe
 }
 
 // Transport delivers calls to partitions. The in-process LocalTransport

@@ -16,7 +16,7 @@ import (
 // fixed cadence into a bounded per-kind ring, so the admin endpoint can
 // answer "what was the process doing N minutes ago" without anyone
 // having run `go tool pprof` in advance. CPU profiles carry the pprof
-// labels the serve engine attaches per request (serve.profileLabels), so
+// labels the serve engine attaches per request (serve.ProfileLabels), so
 // a captured window decomposes by request kind; heap captures
 // additionally feed a stack-keyed allocation delta between consecutive
 // rounds — the "what allocated since last time" view that absolute heap

@@ -191,11 +191,11 @@ func (t *Trace) Annotate(key, value string) {
 	t.Annots = append(t.Annots, Annotation{Key: key, Value: value})
 }
 
-// MaxChildSpans caps a trace's span tree. A distributed quantify can
-// issue thousands of scan RPCs; recording each as a span would turn the
-// pooled trace into a megabyte of garbage, so the tree holds the
-// interesting attempts (legs, hedges, retries, recomputes, summaries)
-// and everything past the cap increments SpansDropped instead.
+// MaxChildSpans caps a trace's span tree. A wide scatter can issue more
+// legs than a waterfall can usefully show, and recording each as a span
+// would bloat the pooled trace, so the tree holds the interesting
+// attempts (legs, hedges, retries, recomputes, summaries) and
+// everything past the cap increments SpansDropped instead.
 const MaxChildSpans = 96
 
 // SpanRef is a value handle on one child span of one trace incarnation.
@@ -533,14 +533,6 @@ func NewTracerTailSampled(capacity int, policy TailSamplingPolicy) *Tracer {
 		capacity = DefaultTraceCapacity
 	}
 	return &Tracer{capacity: capacity, ring: make([]traceSlot, capacity), policy: policy}
-}
-
-// Policy returns the tracer's tail-sampling policy.
-func (tz *Tracer) Policy() TailSamplingPolicy {
-	if tz == nil {
-		return TailSamplingPolicy{}
-	}
-	return tz.policy
 }
 
 // Start begins a new trace, drawn from the process-wide pool. On a nil

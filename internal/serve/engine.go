@@ -647,9 +647,9 @@ func (e *Engine) doOn(ctx context.Context, snap *Snapshot, req Request, tr *obs.
 	// Execute under pprof labels: every CPU sample the request burns —
 	// including in goroutines the evaluators or top-k scans spawn, which
 	// inherit the labels — is attributed to its request kind. See
-	// profileLabels for the label vocabulary.
+	// ProfileLabels for the label vocabulary.
 	var resp Response
-	pprof.Do(ctx, profileLabels(req, e.cacheState()), func(ctx context.Context) {
+	pprof.Do(ctx, ProfileLabels(req, e.cacheState()), func(ctx context.Context) {
 		resp = e.executeSafe(ctx, snap, req, tr)
 	})
 	e.met.inflight.Add(-1)

@@ -4,19 +4,21 @@ import (
 	"runtime/pprof"
 )
 
-// profileLabels is the pprof label set attached to a request's execution
-// (DESIGN.md §13). Every CPU-profile sample taken while the request
-// computes carries these labels, so a profile captured under load
-// decomposes by request kind: problem for all requests, the problem's
-// discriminating knob (top-k algorithm and dimension, compare dimension,
-// mitigator), and the cache disposition — "miss" samples are the compute
-// the cache failed to save, "off" means the engine runs uncached.
+// ProfileLabels is the pprof label set attached to a request's execution
+// (DESIGN.md §13), by the engine and by the cluster coordinator alike.
+// Every CPU-profile sample taken while the request computes carries
+// these labels, so a profile captured under load decomposes by request
+// kind: problem for all requests, the problem's discriminating knob
+// (top-k algorithm and dimension, compare dimension, mitigator), and the
+// cache disposition — "miss" samples are the compute the cache failed to
+// save, "off" means the request runs uncached (always, on the cluster
+// path).
 //
 // Labels are attached after the cache probe, so cache hits (which spend
 // no compute worth attributing) never appear in profiles, and the label
 // cardinality stays bounded by the request vocabulary: no IDs, keys or
 // other unbounded values ever become label values.
-func profileLabels(req Request, cache string) pprof.LabelSet {
+func ProfileLabels(req Request, cache string) pprof.LabelSet {
 	switch req.Problem {
 	case Quantify:
 		return pprof.Labels(

@@ -105,27 +105,6 @@ type RecorderFunc func(algo Algorithm, dir Direction, st Stats)
 // RecordTopK implements Recorder by calling f.
 func (f RecorderFunc) RecordTopK(algo Algorithm, dir Direction, st Stats) { f(algo, dir, st) }
 
-// MultiRecorder fans each completed run out to every recorder in order,
-// skipping nils — e.g. the serve engine's histograms plus a wide-event
-// logger observing the same executions.
-func MultiRecorder(recs ...Recorder) Recorder {
-	kept := make(multiRecorder, 0, len(recs))
-	for _, r := range recs {
-		if r != nil {
-			kept = append(kept, r)
-		}
-	}
-	return kept
-}
-
-type multiRecorder []Recorder
-
-func (m multiRecorder) RecordTopK(algo Algorithm, dir Direction, st Stats) {
-	for _, r := range m {
-		r.RecordTopK(algo, dir, st)
-	}
-}
-
 // TopK solves fairness quantification over src: the k members with the
 // most/least average value across lists. It returns results in order
 // (most-unfair first for MostUnfair, least-unfair first for LeastUnfair).

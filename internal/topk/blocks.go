@@ -87,23 +87,23 @@ func (s *SliceLists) Find(i int, key string) (float64, bool) {
 	return v, ok
 }
 
-// ScanFrom is the resumable sorted-access primitive: it reads up to max
-// entries of list i starting at sorted position start, returning a
-// fresh slice. The caller owns the cursor (start), so a stateless
-// server can answer interleaved scans from any number of clients — the
-// partition node serves the coordinator's block fetches with this. A
-// start at or past the end returns nil.
-func ScanFrom(src ListSource, i, start, max int) []index.Entry {
+// ScanFrom is the resumable sorted-access primitive: it appends up to
+// max entries of list i, starting at sorted position start, to dst and
+// returns the extended slice. The caller owns the cursor (start), so a
+// stateless server can answer interleaved scans from any number of
+// clients — the partition node serves the coordinator's batched block
+// fetches with this, appending every block of one reply into a single
+// buffer. A start at or past the end appends nothing.
+func ScanFrom(dst []index.Entry, src ListSource, i, start, max int) []index.Entry {
 	if start < 0 || max <= 0 {
-		return nil
+		return dst
 	}
-	var out []index.Entry
 	for pos := start; pos < start+max; pos++ {
 		e, ok := src.At(i, pos)
 		if !ok {
 			break
 		}
-		out = append(out, e)
+		dst = append(dst, e)
 	}
-	return out
+	return dst
 }

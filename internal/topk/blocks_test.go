@@ -69,8 +69,8 @@ func TestSliceListsAndScanFrom(t *testing.T) {
 	}
 
 	// ScanFrom: block reads with caller-owned cursors resume exactly.
-	first := ScanFrom(s, 0, 0, 2)
-	rest := ScanFrom(s, 0, 2, 2)
+	first := ScanFrom(nil, s, 0, 0, 2)
+	rest := ScanFrom(nil, s, 0, 2, 2)
 	if len(first) != 2 || len(rest) != 1 {
 		t.Fatalf("block sizes = %d, %d; want 2, 1", len(first), len(rest))
 	}
@@ -80,10 +80,10 @@ func TestSliceListsAndScanFrom(t *testing.T) {
 			t.Fatalf("resumed scan diverged at %d: %+v vs %+v", i, got[i], e)
 		}
 	}
-	if ScanFrom(s, 0, 3, 4) != nil {
+	if ScanFrom(nil, s, 0, 3, 4) != nil {
 		t.Fatal("scan starting past the end must return nil")
 	}
-	if ScanFrom(s, 2, 0, 4) != nil {
+	if ScanFrom(nil, s, 2, 0, 4) != nil {
 		t.Fatal("scan of an empty list must return nil")
 	}
 }

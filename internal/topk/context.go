@@ -48,19 +48,14 @@ func (c canceler) check() error {
 	}
 }
 
-// TopKCtx is TopK with cooperative cancellation: the run observes ctx at
-// every round boundary and returns ctx.Err() (context.Canceled or
-// context.DeadlineExceeded, untyped by this package) once it fires,
-// discarding partial results. A Background context makes it equivalent
-// to TopK.
-func TopKCtx(ctx context.Context, src ListSource, k int, dir Direction, algo Algorithm) ([]Result, Stats, error) {
-	return TopKCtxWith(ctx, src, k, dir, algo, nil)
-}
-
-// TopKCtxWith is TopKCtx with an optional Recorder; only completed runs
-// report Stats to rec — a canceled run's partial access counts are
-// returned to the caller but never recorded, so the telemetry
-// histograms describe finished work.
+// TopKCtxWith is TopK with cooperative cancellation and an optional
+// Recorder: the run observes ctx at every round boundary and returns
+// ctx.Err() (context.Canceled or context.DeadlineExceeded, untyped by
+// this package) once it fires, discarding partial results. Only
+// completed runs report Stats to rec — a canceled run's partial access
+// counts are returned to the caller but never recorded, so the
+// telemetry histograms describe finished work. A Background context
+// makes it equivalent to TopKWith.
 func TopKCtxWith(ctx context.Context, src ListSource, k int, dir Direction, algo Algorithm, rec Recorder) ([]Result, Stats, error) {
 	if k <= 0 {
 		return nil, Stats{}, errKNotPositive(k)

@@ -36,12 +36,15 @@
 #                            bridge and the open-loop load harness, plus
 #                            a fairjob loadtest smoke: one short run must
 #                            emit a JSON artifact joining CO-corrected
-#                            latency with labeled CPU attribution
+#                            latency with labeled CPU attribution, on the
+#                            single engine and on a 4-partition cluster
 #   8. go test -race ./...   full suite under the race detector — the
 #                            evaluators' sharded worker pools and the
 #                            serve engine's concurrent query paths must
 #                            stay race-clean at any worker count
-#   9. overhead gates        the telemetry, resilience, logging,
+#   9. perfbench tests       the benchmark harness is its own module, so
+#                            step 8 does not reach it
+#  10. overhead gates        the telemetry, resilience, logging,
 #                            profiling and scatter-gather on-vs-off
 #                            benchmark pairs, each with the
 #                            < 5% acceptance budget. Each measurement is
@@ -117,7 +120,8 @@ echo "== profiling gate: labeled profiles, runtime bridge, load harness, loadtes
 go test -race -count=1 -run 'TestProfiler|TestDebugProfilesEndpoint|TestRegisterRuntimeMetrics|TestStressAdminEndpointsUnderLoad' ./internal/obs/
 go test -race -count=1 ./internal/loadgen/
 lt_smoke="$(mktemp)"
-trap 'rm -f "$lt_smoke"' EXIT
+lt_cluster="$(mktemp)"
+trap 'rm -f "$lt_smoke" "$lt_cluster"' EXIT
 go run ./cmd/fairjob loadtest -rate 150 -warmup 300ms -duration 1500ms -out "$lt_smoke" 2>/dev/null
 for key in '"p99_ns"' '"p999_ns"' '"top_cpu_labels"' '"cpu_sample_total_ns"' '"by_label"'; do
     if ! grep -q "$key" "$lt_smoke"; then
@@ -133,14 +137,25 @@ if ! grep -Eq '"key": "(problem|algo|dim|mitigator|cache)"' "$lt_smoke"; then
     exit 1
 fi
 echo "check.sh: loadtest smoke artifact carries labeled CPU attribution"
+# The cluster path runs under the same pprof labels: a 4-partition run
+# must attribute CPU samples too (the top_cpu_labels list is non-empty).
+go run ./cmd/fairjob loadtest -partitions 4 -rate 50 -warmup 300ms -duration 1500ms -out "$lt_cluster" 2>/dev/null
+if ! grep -Eq '"key": "(problem|algo|dim|mitigator|cache)"' "$lt_cluster"; then
+    echo "check.sh: FAIL — loadtest smoke at -partitions 4 captured no request-labeled CPU samples" >&2
+    exit 1
+fi
+echo "check.sh: cluster loadtest smoke artifact carries labeled CPU attribution"
 
 echo "== go test -race ${short:+$short }./..."
 go test -race $short ./...
 
+echo "== (cd perfbench && go test ./...) (benchmark harness module)"
+(cd perfbench && go test -count=1 ./...)
+
 if [ -z "$short" ]; then
     echo "== overhead gates: telemetry/resilience/logging/profiling/scatter-gather/span-tracing on-vs-off, < 5% budget (median of 5 ABBA round deltas)"
     bench_raw="$(mktemp)"
-    trap 'rm -f "$bench_raw" "$lt_smoke"' EXIT
+    trap 'rm -f "$bench_raw" "$lt_smoke" "$lt_cluster"' EXIT
     # Five ABBA rounds over benchmark group $1 (a name, or names joined
     # with |): off, on, on, off as four single-variant invocations.
     # benchtime matches bench.sh's 2s protocol: at 1s the ~10ms/op pairs
