@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime/pprof"
 	"sort"
 	"strconv"
 	"strings"
@@ -32,8 +31,9 @@ type Options struct {
 	// NewLocalTransport over the coordinator's own nodes.
 	Transport Transport
 	// Obs, Tracer and Log mirror serve.Options: nil Obs gives the
-	// coordinator a private registry, nil Tracer disables tracing, nil
-	// Log disables wide events. Log is re-stamped with component
+	// coordinator a private registry (the serve_* request series land
+	// there, next to the cluster_* series), nil Tracer disables tracing,
+	// nil Log disables wide events. Log is re-stamped with component
 	// "cluster".
 	Obs    *obs.Registry
 	Tracer *obs.Tracer
@@ -133,7 +133,6 @@ type clusterMetrics struct {
 	legRetries        *obs.Counter
 	partials          *obs.Counter
 	repins            *obs.Counter
-	requestSeconds    *obs.Histogram
 
 	// Per-partition RED series, label-resolved once at construction so
 	// the leg hot path indexes a slice instead of formatting a name:
@@ -149,8 +148,10 @@ type clusterMetrics struct {
 
 // Coordinator serves Problems 1–3 over a (query, location)-partitioned
 // cluster by scatter-gather: distributed TA for quantify, a gathered
-// cell store for compare, owner routing for mitigate. See the package
-// comment and DESIGN.md §14 for the fault model.
+// cell store for compare, owner routing for mitigate. Requests run
+// through the same serve.Lifecycle as the engine, with the scatter as
+// its executor. See the package comment and DESIGN.md §14 for the fault
+// model.
 type Coordinator struct {
 	n         int
 	uni       *Universe
@@ -163,7 +164,7 @@ type Coordinator struct {
 	legRetry serve.RetryPolicy
 	reg      *obs.Registry
 	tracer   *obs.Tracer
-	log      *obs.Logger
+	life     *serve.Lifecycle
 	met      clusterMetrics
 
 	lat []latTracker
@@ -174,10 +175,13 @@ type Coordinator struct {
 	// gens caches the last generation seen per partition, seeding the
 	// next request's pins so a pin mismatch is the exception (a refresh
 	// landed), not the steady state.
-	gens []genCell
+	gens []atomic.Uint64
 
-	degMu sync.Mutex
-	deg   map[string]*serve.Engine
+	// deg memoizes the degraded engine for the latest (missing set,
+	// survivor generations); nil until the first degradation. One memo,
+	// replaced when the key moves, so an outage with refreshing survivors
+	// holds one table-sized engine, not one per generation seen.
+	deg atomic.Pointer[degMemo]
 
 	// cells memoizes the compare gather by generation vector; nil until
 	// the first compare.
@@ -187,23 +191,10 @@ type Coordinator struct {
 	pages       [][2]string
 }
 
-// genCell wraps a uint64 with the tiny lock the coordinator needs; a
-// plain atomic would do, but the struct keeps gens copyable in tests.
-type genCell struct {
-	mu  sync.Mutex
-	gen uint64
-}
-
-func (g *genCell) load() uint64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.gen
-}
-
-func (g *genCell) store(v uint64) {
-	g.mu.Lock()
-	g.gen = v
-	g.mu.Unlock()
+// degMemo is one degraded engine and the key it was built for.
+type degMemo struct {
+	key string
+	eng *serve.Engine
 }
 
 // New builds a coordinator over tbl split into opts.Partitions
@@ -263,11 +254,10 @@ func NewWithRankings(tbl *core.Table, schema *core.Schema, rankings []*core.Mark
 		legRetry:    opts.Retry,
 		reg:         reg,
 		tracer:      opts.Tracer,
-		log:         opts.Log.Component("cluster"),
+		life:        serve.NewLifecycle(reg, opts.Tracer, opts.Log.Component("cluster"), opts.DefaultDeadline),
 		lat:         make([]latTracker, n),
 		rng:         stats.NewRNG(opts.Seed),
-		gens:        make([]genCell, n),
-		deg:         make(map[string]*serve.Engine),
+		gens:        make([]atomic.Uint64, n),
 		hasRankings: len(rankings) > 0,
 	}
 	c.met = clusterMetrics{
@@ -278,7 +268,6 @@ func NewWithRankings(tbl *core.Table, schema *core.Schema, rankings []*core.Mark
 		legRetries:        reg.Counter("cluster_leg_retries_total"),
 		partials:          reg.Counter("cluster_partial_results_total"),
 		repins:            reg.Counter("cluster_repins_total"),
-		requestSeconds:    reg.Histogram("cluster_request_seconds", obs.LatencyBuckets()),
 		partLegs:          make([]*obs.Counter, n),
 		partLegErrors:     make([]*obs.Counter, n),
 		partLegSeconds:    make([]*obs.Histogram, n),
@@ -294,7 +283,7 @@ func NewWithRankings(tbl *core.Table, schema *core.Schema, rankings []*core.Mark
 		})
 	}
 	for p := range nodes {
-		c.gens[p].store(nodes[p].Gen())
+		c.gens[p].Store(nodes[p].Gen())
 	}
 	if c.hasRankings {
 		seen := make(map[[2]string]bool)
@@ -352,64 +341,33 @@ func (c *Coordinator) Do(req serve.Request) serve.Response {
 	return c.DoCtx(context.Background(), req)
 }
 
-// DoCtx answers one request by scatter-gather. The request's deadline
-// (or the coordinator default) bounds the whole fan-out; each leg gets
-// its own slice of whatever remains when it starts. A partition lost
-// past its retry budget degrades the answer to the surviving
-// partitions' data, reported as a *PartialResultError; a generation pin
-// flip re-pins and restarts the request once.
+// DoCtx answers one request by scatter-gather, through the serve
+// request lifecycle with the scatter as its executor. The request's
+// deadline (or the coordinator default) bounds the whole fan-out; each
+// leg gets its own slice of whatever remains when it starts. A
+// partition lost past its retry budget degrades the answer to the
+// surviving partitions' data, reported as a *PartialResultError; a
+// generation pin flip re-pins and restarts the request once.
 func (c *Coordinator) DoCtx(ctx context.Context, req serve.Request) serve.Response {
-	start := time.Now()
-	tr := c.tracer.Start(req.Problem.String())
-	if err := serve.ValidateRequest(req); err != nil {
-		tr.Annotate("err", err.Error())
-		tr.SetOutcome("error")
-		c.tracer.Finish(tr)
-		resp := serve.Response{Err: err}
-		c.emit(req, resp, tr, "error", time.Since(start), nil)
-		c.tracer.Release(tr)
-		return resp
-	}
-	tr.Mark("validate")
-	if d := req.Deadline; d > 0 || c.opts.DefaultDeadline > 0 {
-		if d <= 0 {
-			d = c.opts.DefaultDeadline
-		}
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-		// Nodes must not re-apply the deadline to their slice of the work;
-		// the fan-out context already carries it.
-		req.Deadline = 0
-	}
-
 	st := newScatterStats(c.n)
-	var resp serve.Response
-	// Execute under the engine's pprof labels (cache "off": the
-	// coordinator caches nothing), so CPU samples on the cluster path —
-	// including the transport goroutines the legs spawn, which inherit
-	// the labels — decompose by request kind.
-	pprof.Do(ctx, serve.ProfileLabels(req, "off"), func(ctx context.Context) {
-		resp = c.scatter(ctx, req, st, tr)
+	tr := c.tracer.Start(req.Problem.String())
+	// Nodes must not re-apply the deadline to their slice of the work;
+	// the fan-out context, which the lifecycle derives, carries it.
+	fanout := req
+	fanout.Deadline = 0
+	return c.life.Serve(ctx, &req, 0, tr, func(ctx context.Context, tr *obs.Trace) serve.Response {
+		return c.scatter(ctx, fanout, st, tr)
+	}, func(ev obs.Event, resp serve.Response) obs.Event {
+		return c.scatterFields(ev, resp, st)
 	})
-
-	lat := time.Since(start)
-	outcome := serve.Outcome(resp.Err)
-	tr.SetOutcome(outcome)
-	c.tracer.Finish(tr)
-	c.met.requestSeconds.Observe(lat.Seconds())
-	c.emit(req, resp, tr, outcome, lat, st)
-	c.tracer.Release(tr)
-	return resp
 }
 
-// scatter runs the pinned attempts of one validated request — a re-pin
-// restarts once — and the degraded recompute when partitions are lost.
+// scatter runs the pinned attempts of one validated request, each with
+// the degraded recompute when partitions are lost. A pin flip — seen by
+// the fan-out or by the degraded gather — re-pins and restarts once.
 func (c *Coordinator) scatter(ctx context.Context, req serve.Request, st *scatterStats, tr *obs.Trace) serve.Response {
-	var resp serve.Response
-	var rc *reqCtx
 	for attempt := 0; ; attempt++ {
-		rc = c.newReqCtx(st, tr)
+		rc := c.newReqCtx(st, tr)
 		// Each pinned attempt is a span: the fan-out legs nest under it,
 		// so a re-pinned request's waterfall shows both generations' work.
 		att := tr.StartSpan("scatter")
@@ -419,45 +377,51 @@ func (c *Coordinator) scatter(ctx context.Context, req serve.Request, st *scatte
 			att.SetKind("repin")
 		}
 		rc.span = att
-		resp = c.run(ctx, rc, req, tr)
+		resp := c.run(ctx, rc, req, tr)
 		if rc.genFlipped() && attempt == 0 {
 			// A partition refreshed under the pin: re-pin to the new
 			// generations and restart so the answer is single-generation.
 			c.met.repins.Inc()
-			tr.Mark("repin")
 			att.SetOutcome("gen-flip")
 			att.Finish()
 			continue
 		}
-		if len(rc.missing()) > 0 {
-			att.SetOutcome("degraded")
-		} else {
+		missing := rc.missing()
+		if len(missing) == 0 {
 			att.SetOutcome(serve.Outcome(resp.Err))
+			att.Finish()
+			return resp
 		}
+		att.SetOutcome("degraded")
 		att.Finish()
-		break
-	}
-	if missing := rc.missing(); len(missing) > 0 {
-		if ctx.Err() == nil {
-			tr.Mark("degrade")
-			tr.Annotate("missing", intsList(missing))
-			// The degraded recompute is its own span; the survivors' cells
-			// gather and the local engine's work nest under it.
-			ds := tr.StartSpan("recompute")
-			ds.SetKind("recompute")
-			rc.span = ds
-			resp = c.degrade(ctx, rc, req, missing)
-			ds.SetOutcome(serve.Outcome(resp.Err))
-			ds.Finish()
-			c.met.partials.Inc()
-		} else if resp.Err == nil {
+		if ctx.Err() != nil {
 			// The request deadline died with partitions already lost,
 			// before a degraded recompute could run: surface the typed
 			// context error, never a silent empty answer.
-			resp.Err = typedCtxErr(ctx, ctx.Err())
+			if resp.Err == nil {
+				resp.Err = typedCtxErr(ctx, ctx.Err())
+			}
+			return resp
 		}
+		tr.Annotate("missing", intsList(missing))
+		// The degraded recompute is its own span; the survivors' cells
+		// gather and the local engine's work nest under it.
+		ds := tr.StartSpan("recompute")
+		ds.SetKind("recompute")
+		rc.span = ds
+		resp = c.degrade(ctx, rc, req, missing)
+		ds.SetOutcome(serve.Outcome(resp.Err))
+		ds.Finish()
+		if rc.genFlipped() && attempt == 0 {
+			// A survivor refreshed since the pin (its legs never ran before
+			// the lost partition cut the fan-out short): re-pin and restart
+			// rather than answer from the survivors' old generation.
+			c.met.repins.Inc()
+			continue
+		}
+		c.met.partials.Inc()
+		return resp
 	}
-	return resp
 }
 
 // run executes one pinned attempt of the request.
@@ -638,7 +602,11 @@ func (c *Coordinator) degrade(ctx context.Context, rc *reqCtx, req serve.Request
 }
 
 // degradedEngine gathers the survivors' cells into one merged table and
-// serves it through a cache-less local engine.
+// serves it through a cache-less local engine. Every survivor answers a
+// pinned cells call even when the memo matches the key — with HaveGen
+// set, a node still at the pin ships no cells — because a survivor the
+// fan-out never reached may have refreshed since the pin, and only its
+// ErrGenMismatch reveals that the memo's table is stale.
 func (c *Coordinator) degradedEngine(ctx context.Context, rc *reqCtx, missing []int) (*serve.Engine, error) {
 	dead := make(map[int]bool, len(missing))
 	for _, p := range missing {
@@ -653,19 +621,18 @@ func (c *Coordinator) degradedEngine(ctx context.Context, rc *reqCtx, missing []
 		key += "|" + strconv.Itoa(p) + ":" + strconv.FormatUint(rc.pinFor(p), 10)
 		rankings = append(rankings, c.subRank[p]...)
 	}
-	c.degMu.Lock()
-	eng, ok := c.deg[key]
-	c.degMu.Unlock()
-	if ok {
-		return eng, nil
-	}
-
+	memo := c.deg.Load()
+	hit := memo != nil && memo.key == key
 	tbl := core.NewTable()
 	for p := 0; p < c.n; p++ {
 		if dead[p] {
 			continue
 		}
-		reply, err := rc.call(ctx, p, Call{Op: OpCells})
+		call := Call{Op: OpCells}
+		if hit {
+			call.HaveGen = rc.pinFor(p)
+		}
+		reply, err := rc.call(ctx, p, call)
 		if err != nil {
 			// A partition lost between the fan-out and the recompute: the
 			// degraded answer cannot be built this round.
@@ -679,73 +646,36 @@ func (c *Coordinator) degradedEngine(ctx context.Context, rc *reqCtx, missing []
 			tbl.Set(g, cell.Q, cell.L, cell.V)
 		}
 	}
-	eng = serve.NewEngine(serve.NewSnapshotWithRankings(tbl, c.nodes[0].schema, rankings), serve.Options{
+	if hit {
+		return memo.eng, nil
+	}
+	eng := serve.NewEngine(serve.NewSnapshotWithRankings(tbl, c.nodes[0].schema, rankings), serve.Options{
 		Workers:   1,
 		CacheSize: -1, // keyed cache would collide across missing-sets; the coordinator caches the engine instead
 	})
-	c.degMu.Lock()
-	c.deg[key] = eng
-	c.degMu.Unlock()
+	c.deg.Store(&degMemo{key: key, eng: eng})
 	return eng, nil
 }
 
-// emit assembles the coordinator's wide event, mirroring the engine's
-// field layout (DESIGN.md §9) plus the fan-out fields: partitions is
-// the cluster width, missing_partitions names the holes in a partial
-// answer, and the scatter cost block (rpcs, hedges_fired, hedges_won,
-// leg_retries, slowest_partition) is the one-line summary of what the
-// trace's span tree shows leg by leg.
-func (c *Coordinator) emit(req serve.Request, resp serve.Response, tr *obs.Trace, outcome string, lat time.Duration, st *scatterStats) {
-	if c.log == nil {
-		return
-	}
-	ev := obs.Event{
-		Outcome:    outcome,
-		LatencyNS:  lat.Nanoseconds(),
-		TraceID:    tr.JoinID(),
-		Gen:        resp.Gen,
-		Problem:    req.Problem.String(),
-		Partitions: c.n,
-	}
-	if st != nil {
-		ev.RPCs = st.rpcs.Load()
-		ev.HedgesFired = st.hedgesFired.Load()
-		ev.HedgesWon = st.hedgesWon.Load()
-		ev.LegRetries = st.legRetries.Load()
-		ev.SlowestPartition = st.slowest()
-	}
-	var pres *PartialResultError
-	if errors.As(resp.Err, &pres) {
-		ev.MissingPartitions = pres.MissingList()
-	}
+// scatterFields adds the fan-out fields to the request's wide event:
+// partitions is the cluster width, missing_partitions names the holes
+// in a partial answer, and the scatter cost block (rpcs, hedges_fired,
+// hedges_won, leg_retries, slowest_partition) is the one-line summary
+// of what the trace's span tree shows leg by leg.
+func (c *Coordinator) scatterFields(ev obs.Event, resp serve.Response, st *scatterStats) obs.Event {
+	ev.Partitions = c.n
+	ev.RPCs = st.rpcs.Load()
+	ev.HedgesFired = st.hedgesFired.Load()
+	ev.HedgesWon = st.hedgesWon.Load()
+	ev.LegRetries = st.legRetries.Load()
+	ev.SlowestPartition = st.slowest()
 	if resp.Err != nil {
-		ev.Err = resp.Err.Error()
-	}
-	switch req.Problem {
-	case serve.Quantify:
-		ev.Dim = req.Dim.String()
-		ev.K = req.K
-		ev.Direction = req.Direction.String()
-		ev.Algo = req.Algorithm.String()
-		ev.SortedAccesses = resp.Stats.SortedAccesses
-		ev.RandomAccesses = resp.Stats.RandomAccesses
-		ev.Rounds = resp.Stats.Rounds
-	case serve.Compare:
-		ev.Dim = req.Of.String()
-		ev.R1, ev.R2 = req.R1, req.R2
-		ev.By = req.By.String()
-		if resp.Comparison != nil {
-			ev.CompareAccesses = resp.Comparison.Accesses
-		}
-	case serve.Mitigate:
-		ev.Mitigator = req.Mitigator.String()
-		ev.R1, ev.R2 = req.Group, req.Query
-		ev.By = req.Location
-		if resp.Mitigation != nil {
-			ev.DeltaUnfairness = resp.Mitigation.Delta()
+		var pres *PartialResultError // escapes through errors.As: declared only on failure
+		if errors.As(resp.Err, &pres) {
+			ev.MissingPartitions = pres.MissingList()
 		}
 	}
-	c.log.Log(ev)
+	return ev
 }
 
 // intsList renders partition ids as a comma-joined string.

@@ -320,3 +320,67 @@ func TestCompareMemoPartitionDown(t *testing.T) {
 		t.Fatalf("compare after recovery diverged:\n got: %s\nwant: %s", got, want)
 	}
 }
+
+// TestDegradedEngineMemo: while a partition is down, every survivor
+// refresh moves the degraded-engine key. The memo keeps only the latest
+// engine — a repeat request reuses it, a refresh replaces it — and each
+// degraded answer is byte-equal to a fresh engine over the survivors'
+// cells at that generation.
+func TestDegradedEngineMemo(t *testing.T) {
+	const n, downed, refreshed = 3, 0, 1
+	tbl := clusterTable(stats.NewRNG(17), 6, 5, 4, 0.15)
+	coord, ct := countedCoordinator(tbl, cluster.Options{
+		Partitions:    n,
+		NodeCacheSize: -1,
+		Retry:         serve.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond},
+	})
+	gks := []string{tbl.Groups()[0].Key(), tbl.Groups()[1].Key()}
+	reqs := []serve.Request{
+		{Problem: serve.Quantify, Dim: compare.ByGroup, K: 3, Algorithm: topk.TA},
+		{Problem: serve.Compare, Of: compare.ByGroup, R1: gks[0], R2: gks[1], By: compare.ByQuery},
+	}
+	cell := cellOwnedBy(t, tbl, refreshed, n)
+	cur := tbl.Clone()
+	ct.down.Store(downed + 1)
+
+	var prev *serve.Engine
+	for round := 0; round < 4; round++ {
+		if round > 0 {
+			edit := setCell(tbl, cell, float64(round)/10)
+			coord.Node(refreshed).Refresh(edit)
+			edit(cur)
+		}
+		survivors := core.NewTable()
+		cur.Range(func(tr core.Triple, v float64) {
+			if cluster.Route(tr.Query, tr.Location, n) != downed {
+				g, _ := cur.GroupByKey(tr.GroupKey)
+				survivors.Set(g, tr.Query, tr.Location, v)
+			}
+		})
+		ref := serve.NewEngine(serve.NewSnapshot(survivors), serve.Options{CacheSize: -1, Workers: 1})
+		var eng *serve.Engine
+		for rep := 0; rep < 2; rep++ {
+			for _, req := range reqs {
+				resp := coord.Do(req)
+				var pres *cluster.PartialResultError
+				if !errors.As(resp.Err, &pres) || pres.Cause != nil {
+					t.Fatalf("round %d: want a clean *PartialResultError, got %v", round, resp.Err)
+				}
+				want := ref.Do(req)
+				got := serve.Response{Results: resp.Results, Stats: resp.Stats, Comparison: resp.Comparison}
+				if fingerprint(got) != fingerprint(want) {
+					t.Fatalf("round %d: degraded answer diverged from the survivors' engine:\n got: %s\nwant: %s", round, fingerprint(got), fingerprint(want))
+				}
+				if eng == nil {
+					eng = cluster.DegradedEngine(coord)
+				} else if cluster.DegradedEngine(coord) != eng {
+					t.Fatalf("round %d: a request at an unchanged generation rebuilt the degraded engine", round)
+				}
+			}
+		}
+		if eng == nil || eng == prev {
+			t.Fatalf("round %d: the survivor refresh did not replace the memoized engine", round)
+		}
+		prev = eng
+	}
+}

@@ -97,7 +97,7 @@ func (c *Coordinator) newReqCtx(st *scatterStats, tr *obs.Trace) *reqCtx {
 		dead:      make([]bool, c.n),
 	}
 	for p := 0; p < c.n; p++ {
-		rc.pins[p] = c.gens[p].load()
+		rc.pins[p] = c.gens[p].Load()
 	}
 	return rc
 }
@@ -262,7 +262,7 @@ func (rc *reqCtx) call(ctx context.Context, p int, call Call) (Reply, error) {
 				// Remember the generation the node now serves, so the
 				// restarted request pins it.
 				if r.Gen != 0 {
-					rc.c.gens[p].store(r.Gen)
+					rc.c.gens[p].Store(r.Gen)
 				}
 				return legErr
 			}
@@ -324,7 +324,7 @@ func (rc *reqCtx) record(p int, gen uint64) {
 		rc.genFlip = true
 	}
 	rc.mu.Unlock()
-	rc.c.gens[p].store(gen)
+	rc.c.gens[p].Store(gen)
 }
 
 // legSpan opens one leg span (an op name, an attempt kind, a partition)

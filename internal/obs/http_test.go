@@ -100,8 +100,8 @@ func parseExpositionValue(t *testing.T, body, prefix string) float64 {
 func TestDebugTraces(t *testing.T) {
 	tz := NewTracer(8)
 	tr := tz.Start("quantify")
-	tr.Mark("snapshot-pin")
-	tr.Mark("execute")
+	tr.Phase("snapshot-pin")
+	tr.Phase("execute")
 	tr.Annotate("algo", "TA")
 	tz.Finish(tr)
 
@@ -113,10 +113,11 @@ func TestDebugTraces(t *testing.T) {
 	var out struct {
 		Finished uint64 `json:"finished"`
 		Traces   []struct {
-			Label string `json:"label"`
-			Spans []struct {
+			Label    string `json:"label"`
+			Children []struct {
 				Name string `json:"name"`
-			} `json:"spans"`
+				Kind string `json:"kind"`
+			} `json:"children"`
 			Annotations []struct {
 				Key, Value string
 			} `json:"annotations"`
@@ -129,7 +130,7 @@ func TestDebugTraces(t *testing.T) {
 		t.Fatalf("finished=%d traces=%d", out.Finished, len(out.Traces))
 	}
 	got := out.Traces[0]
-	if got.Label != "quantify" || len(got.Spans) != 2 || got.Spans[0].Name != "snapshot-pin" {
+	if got.Label != "quantify" || len(got.Children) != 2 || got.Children[0].Name != "snapshot-pin" || got.Children[0].Kind != "phase" {
 		t.Fatalf("trace = %+v", got)
 	}
 	if len(got.Annotations) != 1 || got.Annotations[0].Key != "algo" {

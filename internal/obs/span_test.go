@@ -163,7 +163,6 @@ func TestSpanStragglerAfterRecycleIsIgnored(t *testing.T) {
 	mu.Lock()
 	*tr = Trace{ID: tr.ID + 1, Label: "second", Begin: time.Now()}
 	tr.cmu = mu
-	tr.Spans = tr.spanBuf[:0]
 	tr.Annots = tr.annotBuf[:0]
 	tr.Children = tr.childBuf[:0]
 	mu.Unlock()
@@ -278,7 +277,7 @@ func TestWaterfallRendering(t *testing.T) {
 	leg.FinishDur(2 * time.Millisecond)
 	hedge.FinishDur(time.Millisecond)
 	scatter.Finish()
-	tr.Mark("validate")
+	tr.Phase("validate")
 	tz.Finish(tr)
 
 	var buf bytes.Buffer
@@ -291,7 +290,7 @@ func TestWaterfallRendering(t *testing.T) {
 		"serve p1 [hedge]",
 		"◀ winner",
 		"peer=#",
-		"phases: validate",
+		"validate [phase]",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("waterfall lacks %q:\n%s", want, out)

@@ -102,7 +102,7 @@ func TestStressTracerRingConcurrentDump(t *testing.T) {
 			defer writers.Done()
 			for i := 0; i < 2000; i++ {
 				tr := tz.Start("stress")
-				tr.Mark("phase")
+				tr.Phase("phase")
 				tr.SetOutcome(outcomes[(g+i)%len(outcomes)])
 				tz.Finish(tr)
 			}

@@ -7,17 +7,6 @@ import (
 	"time"
 )
 
-// Span is one phase of a traced query: its name, its offset from the
-// trace start, and its duration. Spans are contiguous — each Mark closes
-// the span running since the previous mark — which matches the serve
-// pipeline's linear phase structure (snapshot pin → cache lookup →
-// execute → record).
-type Span struct {
-	Name  string        `json:"name"`
-	Start time.Duration `json:"start_ns"`
-	Dur   time.Duration `json:"dur_ns"`
-}
-
 // Annotation is one key-value tag on a trace (generation, algorithm,
 // cache-hit flag, error text).
 type Annotation struct {
@@ -25,10 +14,11 @@ type Annotation struct {
 	Value string `json:"value"`
 }
 
-// ChildSpan is one node of a trace's span tree: a sub-operation (a
-// fan-out leg, a hedge duplicate, a retry attempt, a degraded
-// recompute, a node-side engine execution) with its own offset,
-// duration and outcome. Unlike the contiguous Mark spans, child spans
+// ChildSpan is one node of a trace's span tree: a request phase (see
+// Trace.Phase) or a sub-operation (a fan-out leg, a hedge duplicate, a
+// retry attempt, a degraded recompute, a node-side engine execution)
+// with its own offset, duration and outcome. Phases are contiguous root
+// children that tile the request's timeline from 0; every other span
 // may overlap and nest — parent links form the tree, Link pairs a hedge
 // duplicate with the leg it raced.
 type ChildSpan struct {
@@ -39,7 +29,7 @@ type ChildSpan struct {
 	ID     int32  `json:"id"`
 	Parent int32  `json:"parent"`
 	Name   string `json:"name"`
-	// Kind classifies the attempt: primary | hedge | retry | repin |
+	// Kind classifies the span: phase | primary | hedge | retry | repin |
 	// recompute | engine | scan.
 	Kind string `json:"kind,omitempty"`
 	// Partition is the cluster partition the span ran against, -1 when
@@ -68,8 +58,10 @@ type ChildSpan struct {
 // reading its own object (JoinID, wide-event fields) until it hands it
 // back with Release. All methods are nil-receiver-safe so
 // instrumentation sites can run unconditionally — with tracing
-// disabled, Start returns nil and every Mark/Annotate on it is a no-op
-// costing one predictable branch.
+// disabled, Start returns nil and every Phase/Annotate on it is a no-op
+// costing one predictable branch. One span model serves every request
+// path: the request's phases and its sub-operations are all nodes of
+// the Children tree.
 type Trace struct {
 	ID    uint64        `json:"id"`
 	Label string        `json:"label"`
@@ -87,7 +79,6 @@ type Trace struct {
 	// Together they drive tail sampling and the /debug/traces filters.
 	Outcome string       `json:"outcome,omitempty"`
 	Slow    bool         `json:"slow,omitempty"`
-	Spans   []Span       `json:"spans"`
 	Annots  []Annotation `json:"annotations,omitempty"`
 	// Children is the span tree (see ChildSpan); SpansDropped counts
 	// spans refused by the MaxChildSpans cap, so a truncated tree is
@@ -95,13 +86,12 @@ type Trace struct {
 	Children     []ChildSpan `json:"children,omitempty"`
 	SpansDropped int32       `json:"spans_dropped,omitempty"`
 
-	spanBuf  [5]Span       // inline storage: the serve pipeline has ≤ 5 phases
 	annotBuf [2]Annotation // typical traces carry ≤ 2 string tags
-	childBuf [8]ChildSpan  // a single-leg request tree fits inline
-	last     time.Duration
-	retained bool // set by Finish when the trace entered the ring
+	childBuf [8]ChildSpan  // an engine request's ≤ 5 phases fit inline
+	last     time.Duration // end of the latest phase
+	retained bool          // set by Finish when the trace entered the ring
 
-	// cmu guards Children and SpansDropped: unlike Mark/Annotate (owning
+	// cmu guards Children and SpansDropped: unlike Annotate (owning
 	// goroutine only), child spans are also written by node-side engine
 	// goroutines joining the trace through a context, which may race the
 	// owner and may even straggle past Finish. It is a pointer so the
@@ -172,14 +162,19 @@ func (t *Trace) Class() string {
 	}
 }
 
-// Mark closes the current span under the given name: it covers the time
-// since the previous mark (or the trace start).
-func (t *Trace) Mark(name string) {
+// Phase closes the request's current phase under the given name: a
+// finished root child of kind "phase" covering the time since the
+// previous phase (or the trace start). Only the trace's owner goroutine
+// calls it.
+func (t *Trace) Phase(name string) {
 	if t == nil {
 		return
 	}
 	now := time.Since(t.Begin)
-	t.Spans = append(t.Spans, Span{Name: name, Start: t.last, Dur: now - t.last})
+	mu := t.treeMu()
+	mu.Lock()
+	t.addChild(ChildSpan{Name: name, Kind: "phase", Partition: -1, Start: t.last, Dur: now - t.last})
+	mu.Unlock()
 	t.last = now
 }
 
@@ -261,14 +256,31 @@ func (t *Trace) startSpan(parent int32, name string, at time.Time) SpanRef {
 	if t == nil {
 		return SpanRef{}
 	}
+	return t.startSpanMu(t.treeMu(), t.ID, parent, name, at)
+}
+
+// treeMu returns the tree mutex. Traces built by Tracer.Start always
+// carry it; this arms hand-rolled test traces. Only the trace's owner
+// goroutine calls it (root spans and phases) — concurrency begins once a
+// ref has been shared, and shared refs re-enter via startSpanMu.
+func (t *Trace) treeMu() *sync.Mutex {
 	if t.cmu == nil {
-		// Traces built by Tracer.Start always carry the mutex; this arms
-		// hand-rolled test traces. Only the trace's owner goroutine calls
-		// this path (root-span creation) — concurrency begins once a ref
-		// has been shared, and shared refs re-enter via startSpanMu.
 		t.cmu = new(sync.Mutex)
 	}
-	return t.startSpanMu(t.cmu, t.ID, parent, name, at)
+	return t.cmu
+}
+
+// addChild appends cs to the tree, assigning its ID, and returns the ID;
+// past MaxChildSpans it counts the span as dropped and returns 0. The
+// caller holds the tree mutex.
+func (t *Trace) addChild(cs ChildSpan) int32 {
+	if len(t.Children) >= MaxChildSpans {
+		t.SpansDropped++
+		return 0
+	}
+	cs.ID = int32(len(t.Children) + 1)
+	t.Children = append(t.Children, cs)
+	return cs.ID
 }
 
 // startSpanMu appends a span under mu (the trace's tree mutex, captured
@@ -283,19 +295,10 @@ func (t *Trace) startSpanMu(mu *sync.Mutex, tid uint64, parent int32, name strin
 	if parent > 0 && int(parent) > len(t.Children) {
 		return SpanRef{} // stale parent
 	}
-	if len(t.Children) >= MaxChildSpans {
-		t.SpansDropped++
+	id := t.addChild(ChildSpan{Parent: parent, Name: name, Partition: -1, Start: at.Sub(t.Begin), Dur: -1})
+	if id == 0 {
 		return SpanRef{}
 	}
-	id := int32(len(t.Children) + 1)
-	t.Children = append(t.Children, ChildSpan{
-		ID:        id,
-		Parent:    parent,
-		Name:      name,
-		Partition: -1,
-		Start:     at.Sub(t.Begin),
-		Dur:       -1,
-	})
 	return SpanRef{t: t, mu: mu, tid: tid, id: id}
 }
 
@@ -466,10 +469,10 @@ type traceSlot struct {
 // serves every tracer.
 var tracePool = sync.Pool{New: func() any { return new(Trace) }}
 
-// copyTrace copies src into dst by value, re-pointing the span,
-// annotation and child slices at dst's inline buffers when src's still
-// live in its own (the common, ≤ 5-span / ≤ 8-child case). A slice that
-// overflowed to the heap is shared instead: after Finish nothing
+// copyTrace copies src into dst by value, re-pointing the annotation
+// and child slices at dst's inline buffers when src's still live in its
+// own (the common, ≤ 2-annotation / ≤ 8-child case). An annotation
+// slice that overflowed to the heap is shared instead: after Finish nothing
 // appends to it — a recycled trace is reset to its inline buffer and
 // growth allocates a fresh array — so the shared array is immutable.
 // Children is the exception to overflow sharing: a straggling SpanRef
@@ -479,12 +482,9 @@ var tracePool = sync.Pool{New: func() any { return new(Trace) }}
 // (ring slots recycle theirs across evictions, so steady-state
 // publication still allocates nothing).
 func copyTrace(dst, src *Trace) {
-	ns, na, nc := len(src.Spans), len(src.Annots), len(src.Children)
+	na, nc := len(src.Annots), len(src.Children)
 	spare := dst.Children
 	*dst = *src
-	if ns <= len(dst.spanBuf) {
-		dst.Spans = dst.spanBuf[:ns]
-	}
 	if na <= len(dst.annotBuf) {
 		dst.Annots = dst.annotBuf[:na]
 	}
@@ -557,7 +557,6 @@ func (tz *Tracer) Start(label string) *Trace {
 		Begin: time.Now(),
 	}
 	t.cmu = mu
-	t.Spans = t.spanBuf[:0]
 	t.Annots = t.annotBuf[:0]
 	t.Children = t.childBuf[:0]
 	mu.Unlock()

@@ -16,7 +16,7 @@ func TestNilTracerIsFullyInert(t *testing.T) {
 	if tr != nil {
 		t.Fatal("nil tracer returned a trace")
 	}
-	tr.Mark("phase") // must not panic
+	tr.Phase("phase") // must not panic
 	tr.Annotate("k", "v")
 	tz.Finish(tr)
 	if tz.Finished() != 0 {
@@ -27,32 +27,44 @@ func TestNilTracerIsFullyInert(t *testing.T) {
 	}
 }
 
+// TestTraceSpansAreContiguous pins the phase model: phases are
+// finished root children of kind "phase", in call order, tiling the
+// request's timeline from 0 with no gap and no overlap.
 func TestTraceSpansAreContiguous(t *testing.T) {
 	tz := NewTracer(4)
 	tr := tz.Start("query")
-	tr.Mark("a")
+	tr.Phase("a")
 	time.Sleep(time.Millisecond)
-	tr.Mark("b")
+	tr.Phase("b")
 	tr.Annotate("cache", "miss")
 	tz.Finish(tr)
 
-	if len(tr.Spans) != 2 {
-		t.Fatalf("spans = %v", tr.Spans)
+	if len(tr.Children) != 2 {
+		t.Fatalf("phases = %+v", tr.Children)
 	}
-	if tr.Spans[0].Name != "a" || tr.Spans[1].Name != "b" {
-		t.Fatalf("span names = %q, %q", tr.Spans[0].Name, tr.Spans[1].Name)
+	a, b := tr.Children[0], tr.Children[1]
+	if a.Name != "a" || b.Name != "b" {
+		t.Fatalf("phase names = %q, %q", a.Name, b.Name)
 	}
-	if tr.Spans[0].Start != 0 {
-		t.Fatalf("first span starts at %v", tr.Spans[0].Start)
+	for _, ph := range tr.Children {
+		if ph.Kind != "phase" || ph.Parent != 0 || ph.Partition != -1 || ph.Dur < 0 {
+			t.Fatalf("phase is not a finished root child of kind phase: %+v", ph)
+		}
 	}
-	if tr.Spans[1].Start != tr.Spans[0].Start+tr.Spans[0].Dur {
-		t.Fatal("spans are not contiguous")
+	if a.Start != 0 {
+		t.Fatalf("first phase starts at %v", a.Start)
 	}
-	if tr.Spans[1].Dur < time.Millisecond {
-		t.Fatalf("span b duration = %v, want ≥ 1ms", tr.Spans[1].Dur)
+	if b.Start != a.Start+a.Dur {
+		t.Fatal("phases are not contiguous")
 	}
-	if tr.Total < tr.Spans[1].Start+tr.Spans[1].Dur {
-		t.Fatalf("total %v < end of last span", tr.Total)
+	if b.Dur < time.Millisecond {
+		t.Fatalf("phase b duration = %v, want ≥ 1ms", b.Dur)
+	}
+	if tr.Total < b.Start+b.Dur {
+		t.Fatalf("total %v < end of last phase", tr.Total)
+	}
+	if err := tr.CheckSpans(); err != nil {
+		t.Fatal(err)
 	}
 	if len(tr.Annots) != 1 || tr.Annots[0] != (Annotation{"cache", "miss"}) {
 		t.Fatalf("annotations = %v", tr.Annots)
@@ -111,7 +123,7 @@ func TestTraceIDsAreUnique(t *testing.T) {
 	}
 }
 
-// TestConcurrentTracing hammers Start/Mark/Finish/Recent from many
+// TestConcurrentTracing hammers Start/Phase/Finish/Recent from many
 // goroutines; -race must stay quiet and the finished count exact.
 func TestConcurrentTracing(t *testing.T) {
 	const workers, perWorker = 8, 500
@@ -123,7 +135,7 @@ func TestConcurrentTracing(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				tr := tz.Start("q")
-				tr.Mark("only")
+				tr.Phase("only")
 				tz.Finish(tr)
 				if i%100 == 0 {
 					tz.Recent()

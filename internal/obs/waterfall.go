@@ -35,13 +35,6 @@ func WriteWaterfall(w io.Writer, t *Trace) {
 	for _, a := range t.Annots {
 		fmt.Fprintf(w, "  %s=%s\n", a.Key, a.Value)
 	}
-	if len(t.Spans) > 0 {
-		phases := make([]string, 0, len(t.Spans))
-		for _, sp := range t.Spans {
-			phases = append(phases, fmt.Sprintf("%s %s", sp.Name, round(sp.Dur)))
-		}
-		fmt.Fprintf(w, "  phases: %s\n", strings.Join(phases, " | "))
-	}
 	if len(t.Children) == 0 {
 		return
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"runtime/debug"
-	"runtime/pprof"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -95,7 +94,7 @@ type Request struct {
 }
 
 // key derives the cache key of the request against a snapshot generation.
-func (r Request) key(gen uint64) cacheKey {
+func (r *Request) key(gen uint64) cacheKey {
 	return cacheKey{
 		gen:         gen,
 		problem:     r.Problem,
@@ -228,40 +227,21 @@ const DefaultCacheSize = 1024
 // obs metric.
 type Engine struct {
 	workers int
-	cache   *lruCache // nil when caching is disabled
 	snap    atomic.Pointer[Snapshot]
+	retry   RetryPolicy
 
-	gate            *gate // nil when admission control is disabled
-	defaultDeadline time.Duration
-	retry           RetryPolicy
-
-	reg    *obs.Registry
-	met    *engineMetrics
-	tracer *obs.Tracer     // nil disables per-query tracing
-	log    *obs.Logger     // nil disables wide-event logging
-	slo    *obs.SLOMonitor // nil disables SLO accounting
+	reg *obs.Registry
+	lc  *Lifecycle // cache, gate, SLO and the request telemetry
+	met *engineMetrics
 }
 
-// engineMetrics holds the engine's metric handles, resolved against the
-// registry once at construction so the per-query hot path never touches
-// the registry's lock or allocates a name string.
+// engineMetrics holds the engine's own metric handles (the request
+// series live in the Lifecycle), resolved against the registry once at
+// construction so the per-query hot path never touches the registry's
+// lock or allocates a name string.
 type engineMetrics struct {
-	requests [problemCount]*obs.Counter   // indexed by Problem
-	latency  [problemCount]*obs.Histogram // serve_request_seconds{problem=...}
-	errors   *obs.Counter
-
-	cacheHits   *obs.Counter
-	cacheMisses *obs.Counter
-	cacheEvicts *obs.Counter
-
-	// Resilience counters (DESIGN.md §10): how requests die when they do
-	// not complete, and how often maintenance had to retry.
-	shed           *obs.Counter // serve_shed_total
-	deadlines      *obs.Counter // serve_deadline_exceeded_total
-	canceled       *obs.Counter // serve_canceled_total
 	panics         *obs.Counter // serve_panics_recovered_total
 	refreshRetries *obs.Counter // refresh_retries_total
-	inflight       *obs.Gauge   // serve_inflight
 
 	batchSize *obs.Histogram
 	queueWait *obs.Histogram
@@ -272,9 +252,6 @@ type engineMetrics struct {
 	sorted [4]*obs.Histogram
 	random [4]*obs.Histogram
 	rounds [4]*obs.Histogram
-
-	// Algorithm 3 random-access counts per comparison (Problem 2).
-	compareAccesses *obs.Histogram
 }
 
 // countBuckets is the bucket layout of access-cost and batch-size
@@ -282,26 +259,12 @@ type engineMetrics struct {
 func countBuckets() []float64 { return obs.ExponentialBuckets(1, 2, 21) }
 
 func newEngineMetrics(reg *obs.Registry) *engineMetrics {
-	lat := obs.LatencyBuckets()
 	counts := countBuckets()
 	m := &engineMetrics{
-		errors:          reg.Counter("serve_errors_total"),
-		cacheHits:       reg.Counter("serve_cache_hits_total"),
-		cacheMisses:     reg.Counter("serve_cache_misses_total"),
-		cacheEvicts:     reg.Counter("serve_cache_evictions_total"),
-		shed:            reg.Counter("serve_shed_total"),
-		deadlines:       reg.Counter("serve_deadline_exceeded_total"),
-		canceled:        reg.Counter("serve_canceled_total"),
-		panics:          reg.Counter("serve_panics_recovered_total"),
-		refreshRetries:  reg.Counter("refresh_retries_total"),
-		inflight:        reg.Gauge("serve_inflight"),
-		batchSize:       reg.Histogram("serve_batch_size", counts),
-		queueWait:       reg.Histogram("serve_queue_wait_seconds", lat),
-		compareAccesses: reg.Histogram("compare_accesses", counts),
-	}
-	for _, p := range []Problem{Quantify, Compare, Mitigate} {
-		m.requests[p] = reg.Counter(obs.Name("serve_requests_total", "problem", p.String()))
-		m.latency[p] = reg.Histogram(obs.Name("serve_request_seconds", "problem", p.String()), lat)
+		panics:         reg.Counter("serve_panics_recovered_total"),
+		refreshRetries: reg.Counter("refresh_retries_total"),
+		batchSize:      reg.Histogram("serve_batch_size", counts),
+		queueWait:      reg.Histogram("serve_queue_wait_seconds", obs.LatencyBuckets()),
 	}
 	for _, a := range topk.Algorithms() {
 		m.sorted[a] = reg.Histogram(obs.Name("topk_sorted_accesses", "algo", a.String()), counts)
@@ -320,22 +283,21 @@ func NewEngine(snap *Snapshot, opts Options) *Engine {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
+	lc := NewLifecycle(reg, opts.Tracer, opts.Log, opts.DefaultDeadline)
+	lc.slo = opts.SLO
 	e := &Engine{
-		workers:         opts.Workers,
-		reg:             reg,
-		met:             newEngineMetrics(reg),
-		tracer:          opts.Tracer,
-		log:             opts.Log,
-		slo:             opts.SLO,
-		defaultDeadline: opts.DefaultDeadline,
-		retry:           opts.Retry,
+		workers: opts.Workers,
+		reg:     reg,
+		lc:      lc,
+		met:     newEngineMetrics(reg),
+		retry:   opts.Retry,
 	}
 	opts.SLO.Register(reg)
 	switch {
 	case opts.CacheSize == 0:
-		e.cache = newLRU(DefaultCacheSize)
+		lc.cache = newLRU(DefaultCacheSize)
 	case opts.CacheSize > 0:
-		e.cache = newLRU(opts.CacheSize)
+		lc.cache = newLRU(opts.CacheSize)
 	}
 	if opts.MaxInflight != 0 {
 		capacity := int64(opts.MaxInflight)
@@ -349,7 +311,7 @@ func NewEngine(snap *Snapshot, opts Options) *Engine {
 		case maxQueue < 0:
 			maxQueue = 0
 		}
-		e.gate = newGate(capacity, maxQueue)
+		lc.gate = newGate(capacity, maxQueue)
 	}
 	userRetry := e.retry.OnRetry
 	e.retry.OnRetry = func(retry int, err error, delay time.Duration) {
@@ -360,10 +322,10 @@ func NewEngine(snap *Snapshot, opts Options) *Engine {
 	}
 	e.snap.Store(snap)
 	reg.GaugeFunc("serve_cache_entries", func() float64 {
-		if e.cache == nil {
+		if lc.cache == nil {
 			return 0
 		}
-		return float64(e.cache.Len())
+		return float64(lc.cache.Len())
 	})
 	reg.GaugeFunc("serve_snapshot_generation", func() float64 {
 		return float64(e.Snapshot().gen)
@@ -371,9 +333,9 @@ func NewEngine(snap *Snapshot, opts Options) *Engine {
 	reg.GaugeFunc("serve_snapshot_age_seconds", func() float64 {
 		return time.Since(e.Snapshot().created).Seconds()
 	})
-	if e.gate != nil {
+	if lc.gate != nil {
 		reg.GaugeFunc("serve_admission_queued", func() float64 {
-			return float64(e.gate.queued())
+			return float64(lc.gate.queued())
 		})
 	}
 	return e
@@ -474,14 +436,14 @@ func (e *Engine) Ready() error {
 	if e.Snapshot() == nil {
 		return errors.New("serve: no snapshot loaded")
 	}
-	if e.gate != nil && e.gate.saturated() {
-		return fmt.Errorf("serve: admission gate saturated (%d queued): %w", e.gate.queued(), ErrOverloaded)
+	if g := e.lc.gate; g != nil && g.saturated() {
+		return fmt.Errorf("serve: admission gate saturated (%d queued): %w", g.queued(), ErrOverloaded)
 	}
 	// A sustained SLO burn also drains the replica: the engine is up, but
 	// it is failing its objectives, and a load balancer should prefer
 	// replicas that are not. Healthy clears once the alert windows slide
 	// past the burst, so readiness recovers without a restart.
-	if err := e.slo.Healthy(); err != nil {
+	if err := e.lc.slo.Healthy(); err != nil {
 		return err
 	}
 	return nil
@@ -498,10 +460,10 @@ type CacheStats struct {
 // CacheStats returns the current cache counters. With caching disabled
 // every field is zero except Misses, which still counts executions.
 func (e *Engine) CacheStats() CacheStats {
-	cs := CacheStats{Hits: e.met.cacheHits.Value(), Misses: e.met.cacheMisses.Value()}
-	if e.cache != nil {
-		cs.Evictions = e.cache.Evictions()
-		cs.Entries = e.cache.Len()
+	cs := CacheStats{Hits: e.lc.met.cacheHits.Value(), Misses: e.lc.met.cacheMisses.Value()}
+	if c := e.lc.cache; c != nil {
+		cs.Evictions = c.Evictions()
+		cs.Entries = c.Len()
 	}
 	return cs
 }
@@ -532,9 +494,9 @@ func (e *Engine) DoCtx(ctx context.Context, req Request) Response {
 		es.Finish()
 		return resp
 	}
-	tr := e.tracer.Start(req.Problem.String())
+	tr := e.lc.tracer.Start(req.Problem.String())
 	snap := e.Snapshot()
-	tr.Mark("snapshot-pin")
+	tr.Phase("snapshot-pin")
 	return e.doOn(ctx, snap, req, tr)
 }
 
@@ -564,236 +526,31 @@ func (e *Engine) DoBatchCtx(ctx context.Context, reqs []Request) []Response {
 	core.RunIndexed(len(reqs), w, func(i int) {
 		wait := time.Since(queued)
 		e.met.queueWait.Observe(wait.Seconds())
-		tr := e.tracer.Start(reqs[i].Problem.String())
+		tr := e.lc.tracer.Start(reqs[i].Problem.String())
 		tr.SetQueueWait(wait)
-		tr.Mark("snapshot-pin")
+		tr.Phase("snapshot-pin")
 		out[i] = e.doOn(ctx, snap, reqs[i], tr)
 	})
 	return out
 }
 
-// doOn answers req against a pinned snapshot, consulting the cache. tr
-// may be nil (tracing disabled); every response — hit, miss or error —
-// lands in the per-problem latency histogram.
-//
-// The resilient path runs in a fixed order (DESIGN.md §10): validate →
-// cache probe → deadline → admission → guarded execute. The cache probe
-// sits BEFORE the deadline and the gate on purpose — a cached answer
-// costs no compute, so it is served even when the gate is shedding
-// everything, which keeps hot queries alive through overload.
+// doOn answers req against a pinned snapshot through the engine's
+// lifecycle (validate → cache probe → deadline → admission → guarded
+// execute, DESIGN.md §10). tr may be nil (tracing disabled); every
+// response that passes validation — hit, miss or refusal — lands in the
+// per-problem latency histogram.
 func (e *Engine) doOn(ctx context.Context, snap *Snapshot, req Request, tr *obs.Trace) Response {
-	start := time.Now()
-	tr.SetGen(snap.gen)
-	if err := validate(req); err != nil {
-		e.met.errors.Inc()
-		tr.Annotate("err", err.Error())
-		tr.SetOutcome("error")
-		e.tracer.Finish(tr)
-		// A validation reject is the caller's bug, not the engine's
-		// unavailability: no latency sample, no request count, no SLO
-		// observation — but it does get a wide event, because "who sends
-		// malformed queries" is an operational question.
-		resp := Response{Gen: snap.gen, Err: err}
-		e.emit(req, resp, tr, "error", time.Since(start), "")
-		e.tracer.Release(tr)
+	return e.lc.Serve(ctx, &req, snap.gen, tr, func(ctx context.Context, tr *obs.Trace) Response {
+		resp := e.executeSafe(ctx, snap, req, tr)
+		resp.Err = ctxError(resp.Err)
 		return resp
-	}
-	tr.Mark("validate")
-	pi := req.Problem
-	e.met.requests[pi].Inc()
-	var key cacheKey
-	if e.cache != nil {
-		key = req.key(snap.gen)
-		if resp, ok := e.cache.Get(key); ok {
-			e.met.cacheHits.Inc()
-			tr.Mark("cache-lookup")
-			tr.Annotate("cache", "hit")
-			resp.CacheHit = true
-			lat := time.Since(start)
-			tr.SetOutcome("ok")
-			e.tracer.Finish(tr)
-			e.met.latency[pi].ObserveWithExemplar(lat.Seconds(), tr.JoinID())
-			e.slo.Observe(lat, nil)
-			e.emit(req, resp, tr, "ok", lat, "hit")
-			e.tracer.Release(tr)
-			return resp
-		}
-		e.met.cacheMisses.Inc()
-	}
-	tr.Mark("cache-lookup")
-
-	if d := req.Deadline; d > 0 || e.defaultDeadline > 0 {
-		if d <= 0 {
-			d = e.defaultDeadline
-		}
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
-	faultinject.Inject(faultinject.QueueDelay)
-	if e.gate != nil {
-		weight := requestWeight(req)
-		if err := e.gate.acquire(ctx, weight); err != nil {
-			return e.refuse(snap, req, err, tr, start)
-		}
-		defer e.gate.release(weight)
-	} else if err := ctx.Err(); err != nil {
-		// No gate to observe the context; still refuse dead requests
-		// before spending compute on them.
-		return e.refuse(snap, req, ctxError(err), tr, start)
-	}
-
-	e.met.inflight.Add(1)
-	// Execute under pprof labels: every CPU sample the request burns —
-	// including in goroutines the evaluators or top-k scans spawn, which
-	// inherit the labels — is attributed to its request kind. See
-	// ProfileLabels for the label vocabulary.
-	var resp Response
-	pprof.Do(ctx, ProfileLabels(req, e.cacheState()), func(ctx context.Context) {
-		resp = e.executeSafe(ctx, snap, req, tr)
-	})
-	e.met.inflight.Add(-1)
-	tr.Mark("execute")
-	resp.Err = ctxError(resp.Err)
-	if resp.Err != nil {
-		e.met.errors.Inc()
-		e.countFailure(resp.Err)
-		tr.Annotate("err", resp.Err.Error())
-	} else {
-		if req.Problem == Compare && resp.Comparison != nil {
-			e.met.compareAccesses.Observe(float64(resp.Comparison.Accesses))
-		}
-		if e.cache != nil {
-			if e.cache.Put(key, resp) {
-				e.met.cacheEvicts.Inc()
-			}
-		}
-	}
-	tr.Mark("access-accounting")
-	lat := time.Since(start)
-	outcome := outcomeOf(resp.Err)
-	tr.SetOutcome(outcome)
-	// Finish before publishing the trace ID anywhere: the tail sampler
-	// decides retention there, and only a retained trace's ID (JoinID)
-	// may land in the latency exemplar and the wide event — otherwise
-	// the metric → trace join would dangle for sampled-out successes.
-	e.tracer.Finish(tr)
-	e.met.latency[pi].ObserveWithExemplar(lat.Seconds(), tr.JoinID())
-	e.slo.Observe(lat, resp.Err)
-	e.emit(req, resp, tr, outcome, lat, e.cacheState())
-	e.tracer.Release(tr)
-	return resp
-}
-
-// refuse finishes a request that never executed (shed, expired or
-// canceled before admission), keeping the telemetry invariants: the
-// error counters tick, and the request still lands one latency sample,
-// one SLO observation and one wide event.
-func (e *Engine) refuse(snap *Snapshot, req Request, err error, tr *obs.Trace, start time.Time) Response {
-	e.met.errors.Inc()
-	e.countFailure(err)
-	tr.Annotate("err", err.Error())
-	lat := time.Since(start)
-	outcome := outcomeOf(err)
-	tr.SetOutcome(outcome)
-	e.tracer.Finish(tr)
-	e.met.latency[req.Problem].ObserveWithExemplar(lat.Seconds(), tr.JoinID())
-	e.slo.Observe(lat, err)
-	resp := Response{Gen: snap.gen, Err: err}
-	e.emit(req, resp, tr, outcome, lat, e.cacheState())
-	e.tracer.Release(tr)
-	return resp
-}
-
-// outcomeOf classifies a request error into the wide-event outcome
-// vocabulary: ok | shed | deadline | canceled | panic | partial | error.
-func outcomeOf(err error) string {
-	return Outcome(err)
-}
-
-// cacheState is the wide-event cache field for a request that got past
-// the cache probe without a hit.
-func (e *Engine) cacheState() string {
-	if e.cache == nil {
-		return "off"
-	}
-	return "miss"
-}
-
-// emit assembles and logs the request's wide event. It runs after the
-// trace finishes, so the event carries the final outcome and the same
-// join ID the latency exemplar published — the three telemetry views
-// join on it, and a trace the tail sampler dropped contributes no ID at
-// all (the join never dangles). Access-cost counters are only
-// attributed to requests that actually computed (a cache hit spends
-// none).
-func (e *Engine) emit(req Request, resp Response, tr *obs.Trace, outcome string, lat time.Duration, cache string) {
-	if e.log == nil {
-		return
-	}
-	ev := obs.Event{
-		Outcome:   outcome,
-		LatencyNS: lat.Nanoseconds(),
-		TraceID:   tr.JoinID(),
-		Gen:       resp.Gen,
-		Problem:   req.Problem.String(),
-		Cache:     cache,
-	}
-	if tr != nil {
-		ev.QueueWaitNS = int64(tr.QueueWait)
-	}
-	if resp.Err != nil {
-		ev.Err = resp.Err.Error()
-	}
-	switch req.Problem {
-	case Quantify:
-		ev.Dim = req.Dim.String()
-		ev.K = req.K
-		ev.Direction = req.Direction.String()
-		ev.Algo = req.Algorithm.String()
-		if !resp.CacheHit {
-			ev.SortedAccesses = resp.Stats.SortedAccesses
-			ev.RandomAccesses = resp.Stats.RandomAccesses
-			ev.Rounds = resp.Stats.Rounds
-		}
-	case Compare:
-		ev.Dim = req.Of.String()
-		ev.R1, ev.R2 = req.R1, req.R2
-		ev.By = req.By.String()
-		if resp.Comparison != nil && !resp.CacheHit {
-			ev.CompareAccesses = resp.Comparison.Accesses
-		}
-	case Mitigate:
-		// The generic operand fields carry the mitigation coordinates:
-		// r1 = target group key, r2 = query, by = location.
-		ev.Mitigator = req.Mitigator.String()
-		ev.R1, ev.R2 = req.Group, req.Query
-		ev.By = req.Location
-		if resp.Mitigation != nil {
-			ev.DeltaUnfairness = resp.Mitigation.Delta()
-		}
-	}
-	e.log.Log(ev)
-}
-
-// countFailure classifies a request failure into the resilience
-// counters. Recovered panics are counted at the recovery site, not here,
-// so a panic is never double-counted.
-func (e *Engine) countFailure(err error) {
-	switch {
-	case errors.Is(err, ErrOverloaded):
-		e.met.shed.Inc()
-	case errors.Is(err, ErrDeadlineExceeded):
-		e.met.deadlines.Inc()
-	case errors.Is(err, ErrCanceled):
-		e.met.canceled.Inc()
-	}
+	}, nil)
 }
 
 // requestWeight is a request's admission cost. The naive full scan reads
 // every posting of every list no matter what, so it charges double —
 // one slow scan should displace two Fagin-style runs, not one.
-func requestWeight(req Request) int64 {
+func requestWeight(req *Request) int64 {
 	if req.Problem == Quantify && req.Algorithm == topk.Naive {
 		return 2
 	}
@@ -814,14 +571,8 @@ func (e *Engine) executeSafe(ctx context.Context, snap *Snapshot, req Request, t
 	return e.execute(ctx, snap, req, tr)
 }
 
-// ValidateRequest rejects malformed requests with the same rules the
-// engine applies before execution. The scatter-gather coordinator
-// validates at its own front door so a bad request fails once, before
-// any fan-out.
-func ValidateRequest(req Request) error { return validate(req) }
-
 // validate rejects malformed requests before they reach the algorithms.
-func validate(req Request) error {
+func validate(req *Request) error {
 	switch req.Problem {
 	case Quantify:
 		if req.K <= 0 {

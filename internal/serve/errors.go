@@ -90,10 +90,11 @@ type outcomer interface {
 // cluster coordinator share it so every layer buckets failures
 // identically.
 func Outcome(err error) string {
+	if err == nil {
+		return "ok" // before oc, which escapes: a success allocates nothing
+	}
 	var oc outcomer
 	switch {
-	case err == nil:
-		return "ok"
 	case errors.As(err, &oc):
 		return oc.RequestOutcome()
 	case errors.Is(err, ErrOverloaded):

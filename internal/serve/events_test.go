@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"fairjob/internal/cluster"
 	"fairjob/internal/compare"
 	"fairjob/internal/core"
 	"fairjob/internal/mitigate"
@@ -20,10 +21,15 @@ import (
 	"fairjob/internal/topk"
 )
 
-// anchoredSnapshot builds the Figure-5-anchored table the chaos tests
-// also use: random data plus an anchor group whose every cell carries
-// 0.94, the paper's worked exposure value for the female cohort.
+// anchoredSnapshot serves the Figure-5-anchored table (anchoredTable).
 func anchoredSnapshot(seed uint64) *serve.Snapshot {
+	return serve.NewSnapshot(anchoredTable(seed))
+}
+
+// anchoredTable builds the Figure-5-anchored table the chaos tests also
+// use: random data plus an anchor group whose every cell carries 0.94,
+// the paper's worked exposure value for the female cohort.
+func anchoredTable(seed uint64) *core.Table {
 	rng := stats.NewRNG(seed)
 	tbl := randomTable(rng, 6, 8, 8, 0.1)
 	g := core.NewGroup(core.Predicate{Attr: "cohort", Value: "g00"})
@@ -32,7 +38,29 @@ func anchoredSnapshot(seed uint64) *serve.Snapshot {
 			tbl.Set(g, core.Query(fmt.Sprintf("q%02d", q)), core.Location(fmt.Sprintf("l%02d", l)), 0.94)
 		}
 	}
-	return serve.NewSnapshot(tbl)
+	return tbl
+}
+
+// frontDoor is one way into the request lifecycle: the engine, or a
+// scatter coordinator over the same table. Both publish the same serve_*
+// request metrics and wide events; only the engine has a result cache,
+// an admission gate and an SLO monitor.
+type frontDoor struct {
+	name   string
+	engine bool
+	open   func(tbl *core.Table, reg *obs.Registry, log *obs.Logger, slo *obs.SLOMonitor) func(serve.Request) serve.Response
+}
+
+var frontDoors = []frontDoor{
+	{"engine", true, func(tbl *core.Table, reg *obs.Registry, log *obs.Logger, slo *obs.SLOMonitor) func(serve.Request) serve.Response {
+		return serve.NewEngine(serve.NewSnapshot(tbl), serve.Options{Obs: reg, Log: log, SLO: slo}).Do
+	}},
+	{"cluster-p1", false, func(tbl *core.Table, reg *obs.Registry, log *obs.Logger, _ *obs.SLOMonitor) func(serve.Request) serve.Response {
+		return cluster.New(tbl, cluster.Options{Partitions: 1, Obs: reg, Log: log, NodeCacheSize: -1}).Do
+	}},
+	{"cluster-p4", false, func(tbl *core.Table, reg *obs.Registry, log *obs.Logger, _ *obs.SLOMonitor) func(serve.Request) serve.Response {
+		return cluster.New(tbl, cluster.Options{Partitions: 4, Obs: reg, Log: log, NodeCacheSize: -1}).Do
+	}},
 }
 
 func getBody(t *testing.T, url string) (int, string) {
@@ -402,61 +430,96 @@ func TestWideEventSchemaGate(t *testing.T) {
 	}
 }
 
-// TestWideEventOutcomePaths pins the per-path event semantics: cache
+// TestWideEventOutcomePaths pins the per-path event semantics on every
+// front door: computed answers carry their access-cost counters, cache
 // hits carry cache=hit and no access costs, validation rejects carry no
-// cache field, sheds carry outcome=shed, and computed answers carry
-// their access-cost counters.
+// cache field, refusals carry their outcome — and the serve_* request
+// metrics count the same requests on the cluster path as on the engine.
 func TestWideEventOutcomePaths(t *testing.T) {
-	logger := obs.NewLogger(obs.LoggerOptions{})
-	snap := anchoredSnapshot(64)
-	eng := serve.NewEngine(snap, serve.Options{Log: logger})
+	for _, fd := range frontDoors {
+		t.Run(fd.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			logger := obs.NewLogger(obs.LoggerOptions{})
+			tbl := anchoredTable(64)
+			do := fd.open(tbl, reg, logger, nil)
+			computed := "off" // the coordinator caches nothing
+			if fd.engine {
+				computed = "miss"
+			}
 
-	quant := serve.Request{Problem: serve.Quantify, Dim: compare.ByGroup, K: 2, Algorithm: topk.TA}
-	if resp := eng.Do(quant); resp.Err != nil {
-		t.Fatal(resp.Err)
-	}
-	if resp := eng.Do(quant); !resp.CacheHit {
-		t.Fatal("second identical request missed the cache")
-	}
-	gks := snap.GroupKeys()
-	cmp := serve.Request{Problem: serve.Compare, Of: compare.ByGroup, R1: gks[0], R2: gks[1], By: compare.ByQuery}
-	if resp := eng.Do(cmp); resp.Err != nil {
-		t.Fatal(resp.Err)
-	}
-	eng.Do(serve.Request{Problem: serve.Quantify, Dim: compare.ByGroup, K: -1, Algorithm: topk.TA})
+			quant := serve.Request{Problem: serve.Quantify, Dim: compare.ByGroup, K: 2, Algorithm: topk.TA}
+			if resp := do(quant); resp.Err != nil {
+				t.Fatal(resp.Err)
+			}
+			if resp := do(quant); resp.CacheHit != fd.engine {
+				t.Fatalf("second identical request: cache hit = %v", resp.CacheHit)
+			}
+			gks := serve.NewSnapshot(tbl).GroupKeys()
+			cmp := serve.Request{Problem: serve.Compare, Of: compare.ByGroup, R1: gks[0], R2: gks[1], By: compare.ByQuery}
+			if resp := do(cmp); resp.Err != nil {
+				t.Fatal(resp.Err)
+			}
+			do(serve.Request{Problem: serve.Quantify, Dim: compare.ByGroup, K: -1, Algorithm: topk.TA})
+			do(serve.Request{Problem: serve.Quantify, Dim: compare.ByGroup, K: 3, Algorithm: topk.TA, Deadline: time.Nanosecond})
 
-	events := logger.Ring().Recent() // newest first
-	if len(events) != 4 {
-		t.Fatalf("emitted %d events, want 4", len(events))
-	}
-	reject, compared, hit, miss := events[0], events[1], events[2], events[3]
+			events := logger.Ring().Recent() // newest first
+			if len(events) != 5 {
+				t.Fatalf("emitted %d events, want 5", len(events))
+			}
+			expired, reject, compared, repeat, miss := events[0], events[1], events[2], events[3], events[4]
 
-	if miss.Cache != "miss" || miss.Outcome != "ok" || miss.SortedAccesses == 0 {
-		t.Fatalf("computed quantify event wrong: %+v", miss)
-	}
-	if miss.QueueWaitNS != 0 {
-		t.Fatalf("direct Do carried a queue wait: %+v", miss)
-	}
-	if hit.Cache != "hit" || hit.Outcome != "ok" {
-		t.Fatalf("cache-hit event wrong: %+v", hit)
-	}
-	if hit.SortedAccesses != 0 || hit.RandomAccesses != 0 || hit.Rounds != 0 {
-		t.Fatalf("cache hit spent no accesses but reported some: %+v", hit)
-	}
-	if compared.Problem != "compare" || compared.R1 != gks[0] || compared.R2 != gks[1] || compared.By != compare.ByQuery.String() {
-		t.Fatalf("compare event lost its operands: %+v", compared)
-	}
-	if compared.CompareAccesses == 0 {
-		t.Fatalf("compare event lost its access count: %+v", compared)
-	}
-	if reject.Outcome != "error" || reject.Level != "error" || reject.Cache != "" || reject.Err == "" {
-		t.Fatalf("validation-reject event wrong: %+v", reject)
+			if miss.Cache != computed || miss.Outcome != "ok" || miss.SortedAccesses == 0 {
+				t.Fatalf("computed quantify event wrong: %+v", miss)
+			}
+			if miss.QueueWaitNS != 0 {
+				t.Fatalf("direct Do carried a queue wait: %+v", miss)
+			}
+			if fd.engine {
+				if repeat.Cache != "hit" || repeat.Outcome != "ok" {
+					t.Fatalf("cache-hit event wrong: %+v", repeat)
+				}
+				if repeat.SortedAccesses != 0 || repeat.RandomAccesses != 0 || repeat.Rounds != 0 {
+					t.Fatalf("cache hit spent no accesses but reported some: %+v", repeat)
+				}
+			} else if repeat.Cache != "off" || repeat.Outcome != "ok" || repeat.SortedAccesses != miss.SortedAccesses {
+				t.Fatalf("repeated coordinator event wrong: %+v", repeat)
+			}
+			if compared.Problem != "compare" || compared.R1 != gks[0] || compared.R2 != gks[1] || compared.By != compare.ByQuery.String() {
+				t.Fatalf("compare event lost its operands: %+v", compared)
+			}
+			if compared.CompareAccesses == 0 {
+				t.Fatalf("compare event lost its access count: %+v", compared)
+			}
+			if reject.Outcome != "error" || reject.Level != "error" || reject.Cache != "" || reject.Err == "" {
+				t.Fatalf("validation-reject event wrong: %+v", reject)
+			}
+			if expired.Outcome != "deadline" || expired.Level != "warn" || expired.Cache != computed {
+				t.Fatalf("expired-deadline event wrong: %+v", expired)
+			}
+
+			s := reg.Snapshot()
+			for _, c := range []struct {
+				problem string
+				n       uint64
+			}{{"quantify", 3}, {"compare", 1}} {
+				if got := s.Counters[obs.Name("serve_requests_total", "problem", c.problem)]; got != c.n {
+					t.Fatalf("serve_requests_total{problem=%s} = %d, want %d", c.problem, got, c.n)
+				}
+				if got := s.Histograms[obs.Name("serve_request_seconds", "problem", c.problem)].Count; got != c.n {
+					t.Fatalf("serve_request_seconds{problem=%s} holds %d samples, want %d", c.problem, got, c.n)
+				}
+			}
+			if got := s.CounterSum("serve_errors_total"); got != 2 {
+				t.Fatalf("serve_errors_total = %d, want 2 (the reject and the expired deadline)", got)
+			}
+		})
 	}
 
 	// Shed path: a drain-mode engine (negative MaxInflight) sheds every
 	// compute request.
 	shedLogger := obs.NewLogger(obs.LoggerOptions{})
-	drain := serve.NewEngine(snap, serve.Options{Log: shedLogger, MaxInflight: -1, CacheSize: -1})
+	drain := serve.NewEngine(anchoredSnapshot(64), serve.Options{Log: shedLogger, MaxInflight: -1, CacheSize: -1})
+	quant := serve.Request{Problem: serve.Quantify, Dim: compare.ByGroup, K: 2, Algorithm: topk.TA}
 	if resp := drain.Do(quant); !errors.Is(resp.Err, serve.ErrOverloaded) {
 		t.Fatalf("drain engine served a compute request: %v", resp.Err)
 	}
@@ -498,44 +561,58 @@ func TestBatchEventsCarryQueueWait(t *testing.T) {
 }
 
 // TestLoggingPreservesTelemetryInvariants re-checks the pinned PR-3
-// invariants with logging and SLO wired in: validation rejects still get
-// no latency sample and no request count, and every refusal lands
-// exactly one.
+// invariants with logging and SLO wired in, on every front door:
+// validation rejects still get no latency sample and no request count
+// (but do count as errors), and every refusal lands exactly one. The SLO
+// checks run where there is a monitor — the engine.
 func TestLoggingPreservesTelemetryInvariants(t *testing.T) {
-	clock := &fakeClock{now: time.Date(2026, 2, 3, 12, 0, 0, 0, time.UTC)}
-	slo := obs.NewSLOMonitor([]obs.Objective{{Name: "errors", Target: 0.99}}, obs.SLOOptions{Clock: clock.Now})
-	reg := obs.NewRegistry()
-	eng := serve.NewEngine(anchoredSnapshot(66), serve.Options{
-		Obs: reg,
-		Log: obs.NewLogger(obs.LoggerOptions{}),
-		SLO: slo,
-	})
+	for _, fd := range frontDoors {
+		t.Run(fd.name, func(t *testing.T) {
+			clock := &fakeClock{now: time.Date(2026, 2, 3, 12, 0, 0, 0, time.UTC)}
+			var slo *obs.SLOMonitor
+			if fd.engine {
+				slo = obs.NewSLOMonitor([]obs.Objective{{Name: "errors", Target: 0.99}}, obs.SLOOptions{Clock: clock.Now})
+			}
+			reg := obs.NewRegistry()
+			do := fd.open(anchoredTable(66), reg, obs.NewLogger(obs.LoggerOptions{}), slo)
 
-	eng.Do(serve.Request{Problem: serve.Quantify, Dim: compare.ByGroup, K: 0, Algorithm: topk.TA}) // reject
-	s := reg.Snapshot()
-	if got := s.CounterSum("serve_requests_total"); got != 0 {
-		t.Fatalf("validation reject counted as a request: %d", got)
-	}
-	if h, ok := s.MergeHistograms("serve_request_seconds"); ok && h.Count != 0 {
-		t.Fatalf("validation reject landed a latency sample: %d", h.Count)
-	}
-	if st := slo.Status(); len(st.Objectives) > 0 && st.Objectives[0].Good+st.Objectives[0].Bad != 0 {
-		t.Fatalf("validation reject reached the SLO monitor: %+v", st.Objectives[0])
-	}
+			do(serve.Request{Problem: serve.Quantify, Dim: compare.ByGroup, K: 0, Algorithm: topk.TA}) // reject
+			s := reg.Snapshot()
+			if got := s.CounterSum("serve_requests_total"); got != 0 {
+				t.Fatalf("validation reject counted as a request: %d", got)
+			}
+			if got := s.CounterSum("serve_errors_total"); got != 1 {
+				t.Fatalf("validation reject must count one error, got %d", got)
+			}
+			if h, ok := s.MergeHistograms("serve_request_seconds"); ok && h.Count != 0 {
+				t.Fatalf("validation reject landed a latency sample: %d", h.Count)
+			}
+			if st := slo.Status(); len(st.Objectives) > 0 && st.Objectives[0].Good+st.Objectives[0].Bad != 0 {
+				t.Fatalf("validation reject reached the SLO monitor: %+v", st.Objectives[0])
+			}
 
-	eng.Do(serve.Request{Problem: serve.Quantify, Dim: compare.ByGroup, K: 2, Algorithm: topk.TA, Deadline: time.Nanosecond})
-	s = reg.Snapshot()
-	if h, ok := s.MergeHistograms("serve_request_seconds"); !ok || h.Count != 1 {
-		t.Fatal("refused request must land exactly one latency sample")
-	}
-	if st := slo.Status(); st.Objectives[0].Bad != 1 {
-		t.Fatalf("refusal must land one bad SLO observation: %+v", st.Objectives[0])
-	}
+			do(serve.Request{Problem: serve.Quantify, Dim: compare.ByGroup, K: 2, Algorithm: topk.TA, Deadline: time.Nanosecond})
+			s = reg.Snapshot()
+			if h, ok := s.MergeHistograms("serve_request_seconds"); !ok || h.Count != 1 {
+				t.Fatal("refused request must land exactly one latency sample")
+			}
+			if fd.engine {
+				if st := slo.Status(); st.Objectives[0].Bad != 1 {
+					t.Fatalf("refusal must land one bad SLO observation: %+v", st.Objectives[0])
+				}
+			}
 
-	if resp := eng.Do(serve.Request{Problem: serve.Quantify, Dim: compare.ByGroup, K: 2, Algorithm: topk.TA}); resp.Err != nil {
-		t.Fatal(resp.Err)
-	}
-	if st := slo.Status(); st.Objectives[0].Good != 1 {
-		t.Fatalf("success must land one good SLO observation: %+v", st.Objectives[0])
+			if resp := do(serve.Request{Problem: serve.Quantify, Dim: compare.ByGroup, K: 2, Algorithm: topk.TA}); resp.Err != nil {
+				t.Fatal(resp.Err)
+			}
+			if got := reg.Snapshot().CounterSum("serve_requests_total"); got != 2 {
+				t.Fatalf("serve_requests_total = %d, want 2", got)
+			}
+			if fd.engine {
+				if st := slo.Status(); st.Objectives[0].Good != 1 {
+					t.Fatalf("success must land one good SLO observation: %+v", st.Objectives[0])
+				}
+			}
+		})
 	}
 }

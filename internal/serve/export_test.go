@@ -4,10 +4,11 @@ package serve
 // — (0, 0) when admission control is off — so tests can assert a run
 // drained the gate instead of leaking a grant or a waiter.
 func GateLoad(e *Engine) (queued int, held int64) {
-	if e.gate == nil {
+	g := e.lc.gate
+	if g == nil {
 		return 0, 0
 	}
-	e.gate.mu.Lock()
-	defer e.gate.mu.Unlock()
-	return e.gate.waiting, e.gate.held
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.waiting, g.held
 }

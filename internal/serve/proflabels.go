@@ -4,8 +4,9 @@ import (
 	"runtime/pprof"
 )
 
-// ProfileLabels is the pprof label set attached to a request's execution
-// (DESIGN.md §13), by the engine and by the cluster coordinator alike.
+// profileLabels is the pprof label set the Lifecycle attaches to a
+// request's execution (DESIGN.md §13), on the engine and on the cluster
+// coordinator alike.
 // Every CPU-profile sample taken while the request computes carries
 // these labels, so a profile captured under load decomposes by request
 // kind: problem for all requests, the problem's discriminating knob
@@ -18,7 +19,7 @@ import (
 // no compute worth attributing) never appear in profiles, and the label
 // cardinality stays bounded by the request vocabulary: no IDs, keys or
 // other unbounded values ever become label values.
-func ProfileLabels(req Request, cache string) pprof.LabelSet {
+func profileLabels(req *Request, cache string) pprof.LabelSet {
 	switch req.Problem {
 	case Quantify:
 		return pprof.Labels(

@@ -3,6 +3,7 @@ package serve_test
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"fairjob/internal/compare"
 	"fairjob/internal/obs"
@@ -132,21 +133,29 @@ func TestEngineTracing(t *testing.T) {
 	}
 	reject, hit, miss := recent[0], recent[1], recent[2]
 
-	wantSpans := []string{"snapshot-pin", "validate", "cache-lookup", "execute", "access-accounting"}
-	if len(miss.Spans) != len(wantSpans) {
-		t.Fatalf("miss spans = %+v", miss.Spans)
+	// The request's phases are the trace's root children of kind
+	// "phase": named, in order, tiling the timeline from 0.
+	wantPhases := []string{"snapshot-pin", "validate", "cache-lookup", "execute", "access-accounting"}
+	missPhases := phases(miss)
+	if len(missPhases) != len(wantPhases) {
+		t.Fatalf("miss phases = %+v", missPhases)
 	}
-	for i, sp := range miss.Spans {
-		if sp.Name != wantSpans[i] {
-			t.Fatalf("miss span %d = %q, want %q", i, sp.Name, wantSpans[i])
+	var end time.Duration
+	for i, ph := range missPhases {
+		if ph.Name != wantPhases[i] {
+			t.Fatalf("miss phase %d = %q, want %q", i, ph.Name, wantPhases[i])
 		}
+		if ph.Parent != 0 || ph.Start != end || ph.Dur < 0 {
+			t.Fatalf("miss phase %d not contiguous from 0: %+v", i, ph)
+		}
+		end = ph.Start + ph.Dur
 	}
 	if !hasAnnotation(hit, "cache", "hit") {
 		t.Fatalf("hit trace lacks cache=hit: %+v", hit.Annots)
 	}
-	for _, sp := range hit.Spans {
-		if sp.Name == "execute" {
-			t.Fatal("cache hit recorded an execute span")
+	for _, ph := range phases(hit) {
+		if ph.Name == "execute" {
+			t.Fatal("cache hit recorded an execute phase")
 		}
 	}
 	found := false
@@ -267,4 +276,15 @@ func hasAnnotation(tr *obs.Trace, key, value string) bool {
 		}
 	}
 	return false
+}
+
+// phases returns the trace's phase spans in recording order.
+func phases(tr *obs.Trace) []obs.ChildSpan {
+	var out []obs.ChildSpan
+	for _, cs := range tr.Children {
+		if cs.Kind == "phase" {
+			out = append(out, cs)
+		}
+	}
+	return out
 }

@@ -75,26 +75,27 @@
 # ABBA places both variants at the same mean timeline position, so any
 # drift that is linear over a round cancels exactly; the median then
 # discards the occasional wild round. check.sh runs the same protocol
-# with the same estimator as a hard gate (with one independent
-# re-measure before declaring a breach).
+# with the same estimator (scripts/abba.sh) as a hard gate (with one
+# independent re-measure before declaring a breach).
 #
 # Usage: scripts/bench.sh [output.json]   (default: BENCH_PR10.json)
 set -eu
 
 cd "$(dirname "$0")/.."
+. scripts/abba.sh
 
 out="${1:-BENCH_PR10.json}"
 pattern='BenchmarkEvaluate$|BenchmarkEvaluateParallel$|BenchmarkSearchEvaluate$|BenchmarkCrawlTaskRabbit$|BenchmarkCrawlGoogle$|BenchmarkFig1$|BenchmarkGoogleQuant$|BenchmarkServeConcurrent|BenchmarkServeSnapshotBuild$|BenchmarkServeCacheHit$|BenchmarkMitigate'
 raw="$(mktemp)"
-raw2="$(mktemp)"
-raw3="$(mktemp)"
-raw4="$(mktemp)"
-raw5="$(mktemp)"
-raw6="$(mktemp)"
-raw7="$(mktemp)"
+abbadir="$(mktemp -d)" # one ABBA log per overhead pair, named after its benchmark
 ltout="$(mktemp)"
 ltbin="$(mktemp)"
-trap 'rm -f "$raw" "$raw2" "$raw3" "$raw4" "$raw5" "$raw6" "$raw7" "$ltout" "$ltbin"' EXIT
+trap 'rm -rf "$raw" "$abbadir" "$ltout" "$ltbin"' EXIT
+
+# The overhead pairs, as benchmark:record. Each derives a
+# <record>_overhead entry with a < 5% budget (scatter_gather at
+# partitions=1; see the header for what each pair prices).
+pairs='BenchmarkServeInstrumented:telemetry BenchmarkServeResilient:resilience BenchmarkServeLogging:logging BenchmarkServeProfiled:profiling BenchmarkScatterGather:scatter_gather BenchmarkSpanTracing:span_tracing'
 
 echo "== go test -bench (this takes a few minutes)"
 go test -run '^$' -bench "$pattern" -benchmem -benchtime=2s . ./internal/serve | tee "$raw"
@@ -111,23 +112,11 @@ abba_run() {
     done
 }
 
-echo "== go test -bench BenchmarkServeInstrumented ABBA ×5 (overhead pair)"
-abba_run BenchmarkServeInstrumented | tee "$raw2"
-
-echo "== go test -bench BenchmarkServeResilient ABBA ×5 (resilience overhead pair)"
-abba_run BenchmarkServeResilient | tee "$raw3"
-
-echo "== go test -bench BenchmarkServeLogging ABBA ×5 (logging overhead pair)"
-abba_run BenchmarkServeLogging | tee "$raw4"
-
-echo "== go test -bench BenchmarkServeProfiled ABBA ×5 (profiling overhead pair)"
-abba_run BenchmarkServeProfiled | tee "$raw5"
-
-echo "== go test -bench BenchmarkScatterGather ABBA ×5 (scatter-gather overhead pair)"
-abba_run BenchmarkScatterGather | tee "$raw6"
-
-echo "== go test -bench BenchmarkSpanTracing ABBA ×5 (span-tracing overhead pair)"
-abba_run BenchmarkSpanTracing | tee "$raw7"
+for pair in $pairs; do
+    bench="${pair%%:*}"
+    echo "== go test -bench $bench ABBA ×5 (${pair#*:} overhead pair)"
+    abba_run "$bench" | tee "$abbadir/$bench"
+done
 
 # The PR 8 open-loop load sweep: one fairjob loadtest run per offered
 # rate, short enough to keep the script's runtime sane but long enough
@@ -220,267 +209,56 @@ if [ -n "$lt_records" ]; then
     printf '%s' "$lt_records" >> "$out"
 fi
 
-# Derived record 1: telemetry overhead, instrumented vs default engine —
-# median of the per-round ABBA deltas. The per-variant minimum raw lines
-# also join the benchmark array so the BENCH JSON stays self-contained.
+# Derived records: one <record>_overhead entry per pair, the median of
+# the per-round ABBA deltas (abba_delta) beside the per-variant minimum
+# ns/op. The first off and on raw lines also join the benchmark array,
+# carrying those minimums, so the BENCH JSON stays self-contained.
 minof() {
     awk -v bench="$1" -v want="$2" '$1 ~ "^" bench "/" want {print $3}' "$3" \
         | sort -n | head -1
 }
-abbadelta() {
-    awk -v b="$1" '
-        $1 ~ "^" b "/off" { off[++no] = $3 }
-        $1 ~ "^" b "/on"  { on[++nn] = $3 }
-        END {
-            rounds = int((no < nn ? no : nn) / 2)
-            if (rounds == 0) exit 1
-            for (r = 1; r <= rounds; r++) {
-                o = off[2*r-1] + off[2*r]; n = on[2*r-1] + on[2*r]
-                d[r] = (n - o) / o * 100
+for pair in $pairs; do
+    bench="${pair%%:*}"; rec="${pair#*:}"; rawf="$abbadir/$bench"
+    off="$(minof "$bench" off "$rawf")"
+    on="$(minof "$bench" on "$rawf")"
+    pct="$(abba_delta "$bench" "$rawf" || true)"
+    if [ -n "$off" ] && [ -n "$on" ]; then
+        awk -v b="$bench" -v off="$off" -v on="$on" '
+        $1 ~ "^" b {
+            key = index($1, "/off") ? "off" : "on"
+            if (seen[key]++) next
+            ns = (key == "off" ? off : on)
+            bytes = ""; allocs = ""
+            for (i = 4; i <= NF; i++) {
+                if ($(i) == "B/op")      bytes  = $(i-1)
+                if ($(i) == "allocs/op") allocs = $(i-1)
             }
-            for (i = 2; i <= rounds; i++)
-                for (j = i; j > 1 && d[j] < d[j-1]; j--) { t = d[j]; d[j] = d[j-1]; d[j-1] = t }
-            printf "%.2f", d[int((rounds + 1) / 2)]
-        }' "$2"
-}
-off="$(minof BenchmarkServeInstrumented off "$raw2")"
-on="$(minof BenchmarkServeInstrumented on "$raw2")"
-tpct="$(abbadelta BenchmarkServeInstrumented "$raw2" || true)"
-if [ -n "$off" ] && [ -n "$on" ]; then
-    awk -v off="$off" -v on="$on" '
-    /^BenchmarkServeInstrumented/ {
-        key = index($1, "/off") ? "off" : "on"
-        if (seen[key]++) next
-        ns = (key == "off" ? off : on)
-        bytes = ""; allocs = ""
-        for (i = 4; i <= NF; i++) {
-            if ($(i) == "B/op")      bytes  = $(i-1)
-            if ($(i) == "allocs/op") allocs = $(i-1)
-        }
-        printf ",\n  {\"name\": \"%s\", \"runs\": 10, \"min_ns_per_op\": %s", $1, ns
-        if (bytes  != "") printf ", \"bytes_per_op\": %s", bytes
-        if (allocs != "") printf ", \"allocs_per_op\": %s", allocs
-        printf "}"
-    }' "$raw2" >> "$out"
-    awk -v off="$off" -v on="$on" -v pct="$tpct" 'BEGIN {
-        printf ",\n  {\"name\": \"telemetry_overhead\", \"rounds\": 5, \"off_min_ns_per_op\": %s, \"on_min_ns_per_op\": %s, \"median_abba_delta_pct\": %s, \"budget_pct\": 5, \"within_budget\": %s}", off, on, pct, (pct + 0 < 5 ? "true" : "false")
-    }' >> "$out"
-    echo "bench.sh: telemetry overhead on-vs-off (median of ABBA round deltas): $tpct%"
-fi
+            printf ",\n  {\"name\": \"%s\", \"runs\": 10, \"min_ns_per_op\": %s", $1, ns
+            if (bytes  != "") printf ", \"bytes_per_op\": %s", bytes
+            if (allocs != "") printf ", \"allocs_per_op\": %s", allocs
+            printf "}"
+        }' "$rawf" >> "$out"
+        awk -v rec="$rec" -v off="$off" -v on="$on" -v pct="$pct" 'BEGIN {
+            printf ",\n  {\"name\": \"%s_overhead\", \"rounds\": 5, \"off_min_ns_per_op\": %s, \"on_min_ns_per_op\": %s, \"median_abba_delta_pct\": %s, \"budget_pct\": 5, \"within_budget\": %s}", rec, off, on, pct, (pct + 0 < 5 ? "true" : "false")
+        }' >> "$out"
+        echo "bench.sh: $(echo "$rec" | tr _ -) overhead on-vs-off (median of ABBA round deltas): $pct%"
+    fi
+done
 
-# Derived record: resilience overhead, deadline + admission gate vs the
-# default engine — median of the per-round ABBA deltas, same protocol as
-# the telemetry pair. The PR 4 acceptance budget is < 5%.
-roff="$(minof BenchmarkServeResilient off "$raw3")"
-ron="$(minof BenchmarkServeResilient on "$raw3")"
-rpct="$(abbadelta BenchmarkServeResilient "$raw3" || true)"
-if [ -n "$roff" ] && [ -n "$ron" ]; then
-    awk -v off="$roff" -v on="$ron" '
-    /^BenchmarkServeResilient/ {
-        key = index($1, "/off") ? "off" : "on"
-        if (seen[key]++) next
-        ns = (key == "off" ? off : on)
-        bytes = ""; allocs = ""
-        for (i = 4; i <= NF; i++) {
-            if ($(i) == "B/op")      bytes  = $(i-1)
-            if ($(i) == "allocs/op") allocs = $(i-1)
-        }
-        printf ",\n  {\"name\": \"%s\", \"runs\": 10, \"min_ns_per_op\": %s", $1, ns
-        if (bytes  != "") printf ", \"bytes_per_op\": %s", bytes
-        if (allocs != "") printf ", \"allocs_per_op\": %s", allocs
-        printf "}"
-    }' "$raw3" >> "$out"
-    awk -v off="$roff" -v on="$ron" -v pct="$rpct" 'BEGIN {
-        printf ",\n  {\"name\": \"resilience_overhead\", \"rounds\": 5, \"off_min_ns_per_op\": %s, \"on_min_ns_per_op\": %s, \"median_abba_delta_pct\": %s, \"budget_pct\": 5, \"within_budget\": %s}", off, on, pct, (pct + 0 < 5 ? "true" : "false")
-    }' >> "$out"
-    echo "bench.sh: resilience overhead on-vs-off (median of ABBA round deltas): $rpct%"
-fi
-
-# Derived record: logging overhead — wide-event logger at 1/128 success
-# sampling + tail-sampled tracer + SLO monitor vs the instrumented
-# engine without them — median of the per-round ABBA deltas, same
-# protocol as the other pairs. The PR 5 acceptance budget is < 5%.
-loff="$(minof BenchmarkServeLogging off "$raw4")"
-lon="$(minof BenchmarkServeLogging on "$raw4")"
-lpct="$(abbadelta BenchmarkServeLogging "$raw4" || true)"
-if [ -n "$loff" ] && [ -n "$lon" ]; then
-    awk -v off="$loff" -v on="$lon" '
-    /^BenchmarkServeLogging/ {
-        key = index($1, "/off") ? "off" : "on"
-        if (seen[key]++) next
-        ns = (key == "off" ? off : on)
-        bytes = ""; allocs = ""
-        for (i = 4; i <= NF; i++) {
-            if ($(i) == "B/op")      bytes  = $(i-1)
-            if ($(i) == "allocs/op") allocs = $(i-1)
-        }
-        printf ",\n  {\"name\": \"%s\", \"runs\": 10, \"min_ns_per_op\": %s", $1, ns
-        if (bytes  != "") printf ", \"bytes_per_op\": %s", bytes
-        if (allocs != "") printf ", \"allocs_per_op\": %s", allocs
-        printf "}"
-    }' "$raw4" >> "$out"
-    awk -v off="$loff" -v on="$lon" -v pct="$lpct" 'BEGIN {
-        printf ",\n  {\"name\": \"logging_overhead\", \"rounds\": 5, \"off_min_ns_per_op\": %s, \"on_min_ns_per_op\": %s, \"median_abba_delta_pct\": %s, \"budget_pct\": 5, \"within_budget\": %s}", off, on, pct, (pct + 0 < 5 ? "true" : "false")
-    }' >> "$out"
-    echo "bench.sh: logging overhead on-vs-off (median of ABBA round deltas): $lpct%"
-fi
-
-# Derived record: profiling overhead — the continuous profiler capturing
-# rounds at the production ~10% CPU-sampling duty cycle vs no profiler,
-# over the instrumented engine — median of the per-round ABBA deltas,
-# same protocol as the other pairs. The PR 8 acceptance budget is < 5%.
-poff="$(minof BenchmarkServeProfiled off "$raw5")"
-pon="$(minof BenchmarkServeProfiled on "$raw5")"
-ppct="$(abbadelta BenchmarkServeProfiled "$raw5" || true)"
-if [ -n "$poff" ] && [ -n "$pon" ]; then
-    awk -v off="$poff" -v on="$pon" '
-    /^BenchmarkServeProfiled/ {
-        key = index($1, "/off") ? "off" : "on"
-        if (seen[key]++) next
-        ns = (key == "off" ? off : on)
-        bytes = ""; allocs = ""
-        for (i = 4; i <= NF; i++) {
-            if ($(i) == "B/op")      bytes  = $(i-1)
-            if ($(i) == "allocs/op") allocs = $(i-1)
-        }
-        printf ",\n  {\"name\": \"%s\", \"runs\": 10, \"min_ns_per_op\": %s", $1, ns
-        if (bytes  != "") printf ", \"bytes_per_op\": %s", bytes
-        if (allocs != "") printf ", \"allocs_per_op\": %s", allocs
-        printf "}"
-    }' "$raw5" >> "$out"
-    awk -v off="$poff" -v on="$pon" -v pct="$ppct" 'BEGIN {
-        printf ",\n  {\"name\": \"profiling_overhead\", \"rounds\": 5, \"off_min_ns_per_op\": %s, \"on_min_ns_per_op\": %s, \"median_abba_delta_pct\": %s, \"budget_pct\": 5, \"within_budget\": %s}", off, on, pct, (pct + 0 < 5 ? "true" : "false")
-    }' >> "$out"
-    echo "bench.sh: profiling overhead on-vs-off (median of ABBA round deltas): $ppct%"
-fi
-
-# Derived record: scatter-gather overhead — the request battery through a
-# single-partition cluster coordinator (gen pinning, the simulated-RPC
-# transport hop, leg deadline budgets, hedge timer arming, reply merge)
-# vs the plain engine — median of the per-round ABBA deltas, same
-# protocol as the other pairs. The PR 9 acceptance budget is < 5% at
-# partitions=1.
-soff="$(minof BenchmarkScatterGather off "$raw6")"
-son="$(minof BenchmarkScatterGather on "$raw6")"
-spct="$(abbadelta BenchmarkScatterGather "$raw6" || true)"
-if [ -n "$soff" ] && [ -n "$son" ]; then
-    awk -v off="$soff" -v on="$son" '
-    /^BenchmarkScatterGather/ {
-        key = index($1, "/off") ? "off" : "on"
-        if (seen[key]++) next
-        ns = (key == "off" ? off : on)
-        bytes = ""; allocs = ""
-        for (i = 4; i <= NF; i++) {
-            if ($(i) == "B/op")      bytes  = $(i-1)
-            if ($(i) == "allocs/op") allocs = $(i-1)
-        }
-        printf ",\n  {\"name\": \"%s\", \"runs\": 10, \"min_ns_per_op\": %s", $1, ns
-        if (bytes  != "") printf ", \"bytes_per_op\": %s", bytes
-        if (allocs != "") printf ", \"allocs_per_op\": %s", allocs
-        printf "}"
-    }' "$raw6" >> "$out"
-    awk -v off="$soff" -v on="$son" -v pct="$spct" 'BEGIN {
-        printf ",\n  {\"name\": \"scatter_gather_overhead\", \"rounds\": 5, \"off_min_ns_per_op\": %s, \"on_min_ns_per_op\": %s, \"median_abba_delta_pct\": %s, \"budget_pct\": 5, \"within_budget\": %s}", off, on, pct, (pct + 0 < 5 ? "true" : "false")
-    }' >> "$out"
-    echo "bench.sh: scatter-gather overhead on-vs-off (median of ABBA round deltas): $spct%"
-fi
-
-# Derived record: span-tracing overhead — the one-partition coordinator
-# with a wired tracer (pooled trace checkout, per-leg child-span tree,
-# scan-stream summaries, engine join, ring retention copy) vs the same
-# coordinator untraced — median of the per-round ABBA deltas, same
-# protocol as the other pairs. The PR 10 acceptance budget is < 5%.
-toff="$(minof BenchmarkSpanTracing off "$raw7")"
-ton="$(minof BenchmarkSpanTracing on "$raw7")"
-trpct="$(abbadelta BenchmarkSpanTracing "$raw7" || true)"
-if [ -n "$toff" ] && [ -n "$ton" ]; then
-    awk -v off="$toff" -v on="$ton" '
-    /^BenchmarkSpanTracing/ {
-        key = index($1, "/off") ? "off" : "on"
-        if (seen[key]++) next
-        ns = (key == "off" ? off : on)
-        bytes = ""; allocs = ""
-        for (i = 4; i <= NF; i++) {
-            if ($(i) == "B/op")      bytes  = $(i-1)
-            if ($(i) == "allocs/op") allocs = $(i-1)
-        }
-        printf ",\n  {\"name\": \"%s\", \"runs\": 10, \"min_ns_per_op\": %s", $1, ns
-        if (bytes  != "") printf ", \"bytes_per_op\": %s", bytes
-        if (allocs != "") printf ", \"allocs_per_op\": %s", allocs
-        printf "}"
-    }' "$raw7" >> "$out"
-    awk -v off="$toff" -v on="$ton" -v pct="$trpct" 'BEGIN {
-        printf ",\n  {\"name\": \"span_tracing_overhead\", \"rounds\": 5, \"off_min_ns_per_op\": %s, \"on_min_ns_per_op\": %s, \"median_abba_delta_pct\": %s, \"budget_pct\": 5, \"within_budget\": %s}", off, on, pct, (pct + 0 < 5 ? "true" : "false")
-    }' >> "$out"
-    echo "bench.sh: span-tracing overhead on-vs-off (median of ABBA round deltas): $trpct%"
-fi
-
-# Derived record: this run's engine-w4 against the PR 3 baseline.
+# Derived records: this run's engine-w4 against each stored
+# BENCH_PR<n>.json baseline that is present.
 cur="$(awk '$1 ~ /^BenchmarkServeConcurrent\/engine-w4/ {print $3; exit}' "$raw")"
-base="$(awk 'match($0, /"name": "BenchmarkServeConcurrent\/engine-w4[^"]*", "iterations": [0-9]+, "ns_per_op": [0-9]+/) {
-    s = substr($0, RSTART, RLENGTH); sub(/.*"ns_per_op": /, "", s); print s; exit
-}' BENCH_PR3.json 2>/dev/null || true)"
-if [ -n "$cur" ] && [ -n "$base" ]; then
-    awk -v base="$base" -v cur="$cur" 'BEGIN {
-        printf ",\n  {\"name\": \"engine_w4_vs_PR3\", \"baseline_ns_per_op\": %s, \"current_ns_per_op\": %s, \"delta_pct\": %.2f}", base, cur, (cur - base) / base * 100
-    }' >> "$out"
-    echo "bench.sh: engine-w4 vs BENCH_PR3 baseline: $(awk -v base="$base" -v cur="$cur" 'BEGIN { printf "%.2f%%", (cur-base)/base*100 }')"
-fi
-
-# Derived record: this run's engine-w4 against the PR 4 baseline.
-base4="$(awk 'match($0, /"name": "BenchmarkServeConcurrent\/engine-w4[^"]*", "iterations": [0-9]+, "ns_per_op": [0-9]+/) {
-    s = substr($0, RSTART, RLENGTH); sub(/.*"ns_per_op": /, "", s); print s; exit
-}' BENCH_PR4.json 2>/dev/null || true)"
-if [ -n "$cur" ] && [ -n "$base4" ]; then
-    awk -v base="$base4" -v cur="$cur" 'BEGIN {
-        printf ",\n  {\"name\": \"engine_w4_vs_PR4\", \"baseline_ns_per_op\": %s, \"current_ns_per_op\": %s, \"delta_pct\": %.2f}", base, cur, (cur - base) / base * 100
-    }' >> "$out"
-    echo "bench.sh: engine-w4 vs BENCH_PR4 baseline: $(awk -v base="$base4" -v cur="$cur" 'BEGIN { printf "%.2f%%", (cur-base)/base*100 }')"
-fi
-
-# Derived record: this run's engine-w4 against the PR 5 baseline.
-base5="$(awk 'match($0, /"name": "BenchmarkServeConcurrent\/engine-w4[^"]*", "iterations": [0-9]+, "ns_per_op": [0-9]+/) {
-    s = substr($0, RSTART, RLENGTH); sub(/.*"ns_per_op": /, "", s); print s; exit
-}' BENCH_PR5.json 2>/dev/null || true)"
-if [ -n "$cur" ] && [ -n "$base5" ]; then
-    awk -v base="$base5" -v cur="$cur" 'BEGIN {
-        printf ",\n  {\"name\": \"engine_w4_vs_PR5\", \"baseline_ns_per_op\": %s, \"current_ns_per_op\": %s, \"delta_pct\": %.2f}", base, cur, (cur - base) / base * 100
-    }' >> "$out"
-    echo "bench.sh: engine-w4 vs BENCH_PR5 baseline: $(awk -v base="$base5" -v cur="$cur" 'BEGIN { printf "%.2f%%", (cur-base)/base*100 }')"
-fi
-
-# Derived record: this run's engine-w4 against the PR 7 baseline.
-base7="$(awk 'match($0, /"name": "BenchmarkServeConcurrent\/engine-w4[^"]*", "iterations": [0-9]+, "ns_per_op": [0-9]+/) {
-    s = substr($0, RSTART, RLENGTH); sub(/.*"ns_per_op": /, "", s); print s; exit
-}' BENCH_PR7.json 2>/dev/null || true)"
-if [ -n "$cur" ] && [ -n "$base7" ]; then
-    awk -v base="$base7" -v cur="$cur" 'BEGIN {
-        printf ",\n  {\"name\": \"engine_w4_vs_PR7\", \"baseline_ns_per_op\": %s, \"current_ns_per_op\": %s, \"delta_pct\": %.2f}", base, cur, (cur - base) / base * 100
-    }' >> "$out"
-    echo "bench.sh: engine-w4 vs BENCH_PR7 baseline: $(awk -v base="$base7" -v cur="$cur" 'BEGIN { printf "%.2f%%", (cur-base)/base*100 }')"
-fi
-
-# Derived record: this run's engine-w4 against the PR 8 baseline.
-base8="$(awk 'match($0, /"name": "BenchmarkServeConcurrent\/engine-w4[^"]*", "iterations": [0-9]+, "ns_per_op": [0-9]+/) {
-    s = substr($0, RSTART, RLENGTH); sub(/.*"ns_per_op": /, "", s); print s; exit
-}' BENCH_PR8.json 2>/dev/null || true)"
-if [ -n "$cur" ] && [ -n "$base8" ]; then
-    awk -v base="$base8" -v cur="$cur" 'BEGIN {
-        printf ",\n  {\"name\": \"engine_w4_vs_PR8\", \"baseline_ns_per_op\": %s, \"current_ns_per_op\": %s, \"delta_pct\": %.2f}", base, cur, (cur - base) / base * 100
-    }' >> "$out"
-    echo "bench.sh: engine-w4 vs BENCH_PR8 baseline: $(awk -v base="$base8" -v cur="$cur" 'BEGIN { printf "%.2f%%", (cur-base)/base*100 }')"
-fi
-
-# Derived record: this run's engine-w4 against the PR 9 baseline.
-base9="$(awk 'match($0, /"name": "BenchmarkServeConcurrent\/engine-w4[^"]*", "iterations": [0-9]+, "ns_per_op": [0-9]+/) {
-    s = substr($0, RSTART, RLENGTH); sub(/.*"ns_per_op": /, "", s); print s; exit
-}' BENCH_PR9.json 2>/dev/null || true)"
-if [ -n "$cur" ] && [ -n "$base9" ]; then
-    awk -v base="$base9" -v cur="$cur" 'BEGIN {
-        printf ",\n  {\"name\": \"engine_w4_vs_PR9\", \"baseline_ns_per_op\": %s, \"current_ns_per_op\": %s, \"delta_pct\": %.2f}", base, cur, (cur - base) / base * 100
-    }' >> "$out"
-    echo "bench.sh: engine-w4 vs BENCH_PR9 baseline: $(awk -v base="$base9" -v cur="$cur" 'BEGIN { printf "%.2f%%", (cur-base)/base*100 }')"
-fi
+for pr in 3 4 5 7 8 9; do
+    base="$(awk 'match($0, /"name": "BenchmarkServeConcurrent\/engine-w4[^"]*", "iterations": [0-9]+, "ns_per_op": [0-9]+/) {
+        s = substr($0, RSTART, RLENGTH); sub(/.*"ns_per_op": /, "", s); print s; exit
+    }' "BENCH_PR$pr.json" 2>/dev/null || true)"
+    if [ -n "$cur" ] && [ -n "$base" ]; then
+        awk -v pr="$pr" -v base="$base" -v cur="$cur" 'BEGIN {
+            printf ",\n  {\"name\": \"engine_w4_vs_PR%s\", \"baseline_ns_per_op\": %s, \"current_ns_per_op\": %s, \"delta_pct\": %.2f}", pr, base, cur, (cur - base) / base * 100
+        }' >> "$out"
+        echo "bench.sh: engine-w4 vs BENCH_PR$pr baseline: $(awk -v base="$base" -v cur="$cur" 'BEGIN { printf "%.2f%%", (cur-base)/base*100 }')"
+    fi
+done
 
 printf '\n]\n' >> "$out"
 echo "bench.sh: wrote $out"

@@ -71,7 +71,8 @@
 #                            re-measuring immediately samples the same
 #                            window): a real regression reproduces, a
 #                            drift window does not. A breach in both
-#                            measurements FAILS the build.
+#                            measurements FAILS the build. The estimator
+#                            is scripts/abba.sh, shared with bench.sh.
 #
 # Usage: scripts/check.sh [-short]
 #
@@ -84,6 +85,7 @@
 set -eu
 
 cd "$(dirname "$0")/.."
+. scripts/abba.sh
 
 short=""
 if [ "${1:-}" = "-short" ]; then
@@ -169,28 +171,10 @@ if [ -z "$short" ]; then
             done
         done | tee -a "$bench_raw"
     }
-    # Prints the median per-round ABBA delta (%) for benchmark $1; exits
-    # nonzero when the raw file holds no complete rounds for it.
-    overhead_pct() {
-        awk -v b="$1" '
-            $1 ~ "^" b "/off" { off[++no] = $3 }
-            $1 ~ "^" b "/on"  { on[++nn] = $3 }
-            END {
-                rounds = int((no < nn ? no : nn) / 2)
-                if (rounds == 0) exit 1
-                for (r = 1; r <= rounds; r++) {
-                    o = off[2*r-1] + off[2*r]; n = on[2*r-1] + on[2*r]
-                    d[r] = (n - o) / o * 100
-                }
-                for (i = 2; i <= rounds; i++)
-                    for (j = i; j > 1 && d[j] < d[j-1]; j--) { t = d[j]; d[j] = d[j-1]; d[j-1] = t }
-                printf "%.2f", d[int((rounds + 1) / 2)]
-            }' "$bench_raw"
-    }
     # Returns 0 when the budget is BREACHED, 1 when within budget.
     gate_breached() {
         bench="$1"; label="$2"
-        pct="$(overhead_pct "$bench")" || {
+        pct="$(abba_delta "$bench" "$bench_raw")" || {
             echo "check.sh: FAIL — $bench produced no off/on results" >&2
             exit 1
         }
